@@ -89,10 +89,12 @@ impl Config {
             ]),
             // Scheduler submit, engine infer, event-loop poll, span
             // record, flight-recorder record: a panic here takes down a
-            // worker or the connection tier mid-request.
+            // worker or the connection tier mid-request. The snapshot
+            // decoder runs inside a live server on every reload.
             hot_path: s(&[
                 "crates/serve/src/scheduler.rs",
                 "crates/serve/src/engine.rs",
+                "crates/serve/src/snapshot.rs",
                 "crates/serve/src/http/event_loop.rs",
                 "crates/obs/src/span.rs",
                 "crates/obs/src/hist.rs",

@@ -124,75 +124,14 @@ impl LayerLut {
         Ok(Self { variant, tau: config.tau(), config, c_out, analog, dot, luts, bias })
     }
 
-    /// Rebuilds an engine from already-compiled parts: per-group codebooks
-    /// (`[d, p]` each) and the matching precomputed lookup tables, plus an
-    /// optional bias. This is the deserialization hook used by model
-    /// snapshots (`pecan-serve`): no weight matrix is needed because the
-    /// `W·C` products of Algorithm 1 line 3 are supplied ready-made, so a
-    /// reloaded engine is **bit-identical** to the one that was saved.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when the part counts or shapes disagree with
-    /// `config` (group count, `[d, p]` codebooks, `[cout, p]` tables with a
-    /// consistent `cout`, bias of length `cout`).
-    pub fn from_tables(
-        variant: PecanVariant,
-        config: PqConfig,
-        codebooks: &[Tensor],
-        tables: Vec<LookupTable>,
-        bias: Option<Tensor>,
-    ) -> Result<Self, ShapeError> {
-        if codebooks.len() != config.groups() || tables.len() != config.groups() {
-            return Err(ShapeError::new(format!(
-                "{} codebooks / {} tables for {} groups",
-                codebooks.len(),
-                tables.len(),
-                config.groups()
-            )));
-        }
-        let c_out = tables[0].outputs();
-        for (j, t) in tables.iter().enumerate() {
-            if t.outputs() != c_out || t.entries() != config.prototypes() {
-                return Err(ShapeError::new(format!(
-                    "table group {j} is [{}, {}], expected [{c_out}, {}]",
-                    t.outputs(),
-                    t.entries(),
-                    config.prototypes()
-                )));
-            }
-        }
-        if let Some(b) = &bias {
-            if b.len() != c_out {
-                return Err(ShapeError::new(format!(
-                    "bias of {} for {c_out} outputs",
-                    b.len()
-                )));
-            }
-        }
-        let d = config.dim();
-        let mut analog = Vec::new();
-        let mut dot = Vec::new();
-        for (j, cb) in codebooks.iter().enumerate() {
-            if cb.dims() != [d, config.prototypes()] {
-                return Err(ShapeError::new(format!(
-                    "codebook group {j} has shape {:?}",
-                    cb.dims()
-                )));
-            }
-            let rows = cb.transpose2()?;
-            match variant {
-                PecanVariant::Distance => analog.push(AnalogCam::new(rows)?),
-                PecanVariant::Angle => dot.push(DotProductCam::new(rows)?),
-            }
-        }
-        Ok(Self { variant, tau: config.tau(), config, c_out, analog, dot, luts: tables, bias })
-    }
-
-    /// As [`LayerLut::from_tables`], but takes the CAM arrays directly in
-    /// their **runtime** `[p, d]` row layout — no transpose, no copy. This
-    /// is the zero-copy deserialization hook: snapshot v3 stores every
-    /// section in runtime layout, so a loader can hand in borrowed
+    /// Rebuilds an engine from already-compiled parts: the per-group CAM
+    /// arrays in their **runtime** `[p, d]` row layout, the matching
+    /// precomputed lookup tables and an optional bias. This is the
+    /// deserialization hook used by model snapshots (`pecan-serve`): no
+    /// weight matrix is needed because the `W·C` products of Algorithm 1
+    /// line 3 are supplied ready-made, so a reloaded engine is
+    /// **bit-identical** to the one that was saved. The parts are taken as
+    /// given — no transpose, no copy — so a loader can hand in borrowed
     /// [`Tensor`] views over a memory-mapped file and the engine is built
     /// without touching the bulk data.
     ///
@@ -201,7 +140,7 @@ impl LayerLut {
     /// Returns [`ShapeError`] when the part counts or shapes disagree with
     /// `config` (group count, `[p, d]` CAM rows, `[cout, p]` tables with a
     /// consistent `cout`, bias of length `cout`).
-    pub fn from_borrowed_tables(
+    pub fn from_tables(
         variant: PecanVariant,
         config: PqConfig,
         cam_rows: Vec<Tensor>,
@@ -274,28 +213,8 @@ impl LayerLut {
         self.bias.as_ref()
     }
 
-    /// The per-group codebooks as programmed into the CAM arrays,
-    /// reconstructed as `[d, p]` tensors (the transpose of the stored rows —
-    /// exact, no arithmetic). For a PECAN-D engine whose prototypes were
-    /// perturbed with [`LayerLut::perturb_prototypes`], these are the *noisy*
-    /// values the engine actually searches, which is what serialization
-    /// wants.
-    pub fn codebooks(&self) -> Vec<Tensor> {
-        let transposed = |rows: &Tensor| {
-            rows.transpose2().expect("CAM rows are always rank 2")
-        };
-        match self.variant {
-            PecanVariant::Distance => {
-                self.analog.iter().map(|cam| transposed(cam.rows())).collect()
-            }
-            PecanVariant::Angle => {
-                self.dot.iter().map(|cam| transposed(cam.rows())).collect()
-            }
-        }
-    }
-
     /// The per-group CAM arrays in their runtime `[p, d]` row layout — the
-    /// exact tensors a [`LayerLut::from_borrowed_tables`] round trip needs
+    /// exact tensors a [`LayerLut::from_tables`] round trip needs
     /// (and the layout snapshot v3 stores, so serialization is a straight
     /// byte copy with no transpose).
     pub fn cam_rows(&self) -> Vec<&Tensor> {
@@ -618,7 +537,7 @@ mod tests {
             let rebuilt = LayerLut::from_tables(
                 engine.variant(),
                 *engine.config(),
-                &engine.codebooks(),
+                engine.cam_rows().into_iter().cloned().collect(),
                 engine.luts().to_vec(),
                 engine.bias().cloned(),
             )
@@ -636,24 +555,22 @@ mod tests {
         let layer = conv_layer(PecanVariant::Distance, 12);
         let engine = LayerLut::from_conv(&layer).unwrap();
         let cfg = *engine.config();
-        let cbs = engine.codebooks();
+        let rows: Vec<Tensor> = engine.cam_rows().into_iter().cloned().collect();
         let luts = engine.luts().to_vec();
+        let build = |rows: Vec<Tensor>, luts: Vec<LookupTable>, bias: Option<Tensor>| {
+            LayerLut::from_tables(PecanVariant::Distance, cfg, rows, luts, bias)
+        };
+        assert!(build(rows.clone(), luts.clone(), None).is_ok());
         // group-count mismatch
-        assert!(LayerLut::from_tables(
-            PecanVariant::Distance, cfg, &cbs[..1], luts.clone(), None
-        )
-        .is_err());
-        // wrong codebook shape
-        let bad_cbs = vec![Tensor::zeros(&[3, 4]); cbs.len()];
-        assert!(LayerLut::from_tables(
-            PecanVariant::Distance, cfg, &bad_cbs, luts.clone(), None
-        )
-        .is_err());
+        assert!(build(rows[..1].to_vec(), luts.clone(), None).is_err());
+        // wrong CAM shape: the [d, p] codebook layout is not accepted
+        let codebooks = rows.iter().map(|r| r.transpose2().unwrap()).collect();
+        assert!(build(codebooks, luts.clone(), None).is_err());
+        // wrong table shape
+        let bad_luts = vec![LookupTable::new(Tensor::zeros(&[3, 5])).unwrap(); luts.len()];
+        assert!(build(rows.clone(), bad_luts, None).is_err());
         // bias length mismatch
-        assert!(LayerLut::from_tables(
-            PecanVariant::Distance, cfg, &cbs, luts, Some(Tensor::zeros(&[99]))
-        )
-        .is_err());
+        assert!(build(rows, luts, Some(Tensor::zeros(&[99]))).is_err());
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl FrozenEngine {
     }
 
     /// Names the engine (the identity multi-model serving routes on and
-    /// snapshot v2 persists). Builder-style; `None`-named engines serve
+    /// snapshots persist). Builder-style; `None`-named engines serve
     /// under a registry-assigned default.
     #[must_use]
     pub fn with_name(mut self, name: impl Into<String>) -> Self {

@@ -1,3 +1,4 @@
+use crate::snapshot::SNAPSHOT_VERSION;
 use pecan_tensor::ShapeError;
 use std::fmt;
 use std::io;
@@ -62,7 +63,7 @@ impl From<ShapeError> for ServeError {
 /// Error decoding or encoding a model snapshot.
 ///
 /// Every corruption mode is a typed, non-panicking variant: the loader is
-/// exercised against truncated files, flipped bytes, bad magic and future
+/// exercised against truncated files, flipped bytes, bad magic and other
 /// versions in `tests/snapshot_roundtrip.rs`.
 #[derive(Debug)]
 pub enum SnapshotError {
@@ -70,7 +71,8 @@ pub enum SnapshotError {
     Io(io::Error),
     /// The file does not start with the snapshot magic — not a snapshot.
     BadMagic,
-    /// The snapshot was written by a newer (or unknown) format revision.
+    /// The snapshot declares a format revision other than the one this
+    /// build reads ([`SNAPSHOT_VERSION`]).
     UnsupportedVersion {
         /// Version number found in the header.
         found: u32,
@@ -101,9 +103,11 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot I/O: {e}"),
             SnapshotError::BadMagic => write!(f, "not a PECAN snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion { found } => {
-                write!(f, "unsupported snapshot version {found}")
-            }
+            SnapshotError::UnsupportedVersion { found } => write!(
+                f,
+                "unsupported snapshot version {found} \
+                 (this build reads version {SNAPSHOT_VERSION} only)"
+            ),
             SnapshotError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "snapshot checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"

@@ -17,16 +17,16 @@
 //!    number of threads. [`FrozenEngine::infer`] is the batch-matrix entry
 //!    point; [`FrozenEngine::predict`] / [`FrozenEngine::predict_batch`]
 //!    remain as sample-shaped shims with bit-identical results.
-//! 3. **Model snapshots** — a versioned, endian-stable binary format
-//!    (normative spec: `docs/snapshot-format.md`). Version 3 lays the
-//!    weights out in 64-byte-aligned little-endian sections with a
+//! 3. **Model snapshots** — one endian-stable binary format, version 3
+//!    (normative spec: `docs/snapshot-format.md`). It lays the weights
+//!    out in 64-byte-aligned little-endian sections with a
 //!    header-resident directory and per-section CRC-32s, so
 //!    [`FrozenEngine::open_snapshot`] can **memory-map** the file and
 //!    serve straight from page cache — cold start is a header parse, not
 //!    a copy, no matter the model size. The copying loader
-//!    ([`FrozenEngine::load_snapshot`]) verifies every checksum and
-//!    loads v1/v2 files bit-identically; the `snapshot-tool` binary
-//!    inspects, verifies and converts between versions.
+//!    ([`FrozenEngine::load_snapshot`]) runs the same decoder and
+//!    verifies every checksum; the `snapshot-tool` binary inspects and
+//!    verifies files.
 //! 4. **[`BatchScheduler`]** — micro-batching over a bounded queue:
 //!    concurrent requests are drained up to `max_batch`/`max_wait` and run
 //!    through the engine's batch kernels by persistent workers;

@@ -1,6 +1,6 @@
 //! Memory-mapped snapshot loading: engines served straight from page cache.
 //!
-//! [`FrozenEngine::open_snapshot`] maps a version-3 snapshot file
+//! [`FrozenEngine::open_snapshot`] maps a snapshot file
 //! (`PROT_READ`, `MAP_PRIVATE`) and builds the engine as borrowed views
 //! into the mapping — validation happens on the header, the bulk tensors
 //! are [`pecan_tensor::Tensor::from_shared`] windows that the kernel pages
@@ -10,11 +10,13 @@
 //! `docs/snapshot-format.md` for why the v3 layout (64-byte-aligned
 //! little-endian sections in runtime layout) makes this possible.
 //!
+//! The mapping is decoded by the same decoder as the copying loader, so
+//! a file either loads identically or fails with the same typed error.
 //! On targets without the raw-syscall layer (anything but Linux
-//! `x86_64`/`aarch64` — see [`mmap_supported`]), and for version-1/2
-//! files, `open_snapshot` transparently falls back to the copying loader
-//! [`FrozenEngine::load_snapshot`]: same engine, same bits, just a heap
-//! copy.
+//! `x86_64`/`aarch64` — see [`mmap_supported`]), and for files that
+//! cannot be mapped, `open_snapshot` transparently falls back to the
+//! copying loader [`FrozenEngine::load_snapshot`]: same engine, same bits,
+//! just a heap copy.
 
 use crate::engine::FrozenEngine;
 use crate::error::SnapshotError;
@@ -74,45 +76,31 @@ mod imp {
 
 fn open_inner(path: &Path, verify_sections: bool) -> Result<FrozenEngine, SnapshotError> {
     #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+    if let Ok(mapped) = imp::MappedSnapshot::open(path) {
+        use crate::snapshot::{decode, Storage};
         use pecan_tensor::F32Source;
         use std::sync::Arc;
 
-        // Only v3 files have a mappable layout; anything else (older
-        // versions, foreign files, unmappable paths) goes through the
-        // copying loader so errors and bits match `load_snapshot` exactly.
-        if let Ok(mapped) = imp::MappedSnapshot::open(path) {
-            let header = mapped.bytes();
-            let is_v3 = header.len() >= 12
-                && header[..SNAPSHOT_MAGIC.len()] == SNAPSHOT_MAGIC
-                && u32::from_le_bytes(header[8..12].try_into().expect("four bytes"))
-                    == SNAPSHOT_VERSION;
-            if is_v3 {
-                if !verify_sections {
-                    // Warm the page cache in the background; purely
-                    // advisory, the open itself stays instant.
-                    mapped.prefetch();
-                }
-                let owner: Arc<dyn F32Source> = mapped.clone();
-                return crate::snapshot::engine_from_shared(
-                    &owner,
-                    mapped.bytes(),
-                    verify_sections,
-                );
-            }
+        if !verify_sections {
+            // Warm the page cache in the background; purely advisory, the
+            // open itself stays instant.
+            mapped.prefetch();
         }
+        let owner: Arc<dyn F32Source> = mapped.clone();
+        return decode(mapped.bytes(), Storage::Shared { owner: &owner, verify: verify_sections });
     }
-    let _ = verify_sections; // the copying loader always verifies
+    // Unmappable (missing, empty, ragged length, unsupported target): the
+    // copying loader reports the same errors and always verifies.
+    let _ = verify_sections;
     FrozenEngine::load_snapshot(path)
 }
 
 impl FrozenEngine {
-    /// Opens a snapshot for serving: version-3 files on supported targets
-    /// are memory-mapped and the engine's bulk tensors borrow the mapping
+    /// Opens a snapshot for serving: on supported targets the file is
+    /// memory-mapped and the engine's bulk tensors borrow the mapping
     /// (no bulk copy, no bulk read — the header is validated, weights
-    /// fault in on first use). Version-1/2 files and unsupported targets
-    /// fall back to [`FrozenEngine::load_snapshot`] transparently.
+    /// fault in on first use). Files that cannot be mapped and unsupported
+    /// targets fall back to [`FrozenEngine::load_snapshot`] transparently.
     ///
     /// The fast path checks the header CRC but **not** the per-section
     /// CRCs (checking them would read every byte, defeating the instant
@@ -183,15 +171,20 @@ mod tests {
     }
 
     #[test]
-    fn open_snapshot_falls_back_for_v2_files_and_reports_missing_files() {
-        let dir = tmp_dir("open-v2");
-        let engine = demo::mlp_engine(12);
-        let path = dir.join("mlp-v2.psnp");
-        std::fs::write(&path, engine.snapshot_bytes_versioned(2).unwrap()).unwrap();
-        let opened = FrozenEngine::open_snapshot(&path).unwrap();
-        assert!(!opened.uses_shared_storage(), "v2 loads via the copying path");
-        let x = vec![0.25f32; engine.input_len()];
-        assert_eq!(opened.predict(&x).unwrap(), engine.predict(&x).unwrap());
+    fn open_snapshot_rejects_old_versions_and_reports_missing_files() {
+        let dir = tmp_dir("open-old");
+        let mut bytes = demo::mlp_engine(12).snapshot_bytes();
+        for old in [1u32, 2] {
+            let path = dir.join(format!("mlp-v{old}.psnp"));
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            for open in [FrozenEngine::open_snapshot, FrozenEngine::open_snapshot_verified] {
+                assert!(matches!(
+                    open(&path),
+                    Err(SnapshotError::UnsupportedVersion { found }) if found == old
+                ));
+            }
+        }
         assert!(matches!(
             FrozenEngine::open_snapshot(dir.join("nope.psnp")),
             Err(SnapshotError::Io(_))

@@ -1,41 +1,25 @@
-//! Versioned, endian-stable binary model snapshots.
+//! Endian-stable binary model snapshots: one format, version 3.
 //!
-//! A snapshot captures a compiled [`FrozenEngine`] exactly: per-stage
-//! codebooks, precomputed `W·C` lookup tables and biases, all as
+//! A snapshot captures a compiled [`FrozenEngine`] exactly: per-stage CAM
+//! prototype rows, precomputed `W·C` lookup tables and biases, all as
 //! little-endian IEEE-754 bit patterns. Loading rebuilds the engine without
 //! any recomputation, so a reloaded engine's outputs are **bit-identical**
 //! to the saved one's — `tests/snapshot_roundtrip.rs` pins
 //! save→load→predict parity by property test.
 //!
-//! The normative byte-level specification of all three format revisions
-//! lives in [`docs/snapshot-format.md`] — this module doc is the summary.
+//! The normative byte-level specification lives in
+//! [`docs/snapshot-format.md`] — this module doc is the summary.
 //!
 //! [`docs/snapshot-format.md`]: https://github.com/pecan/pecan/blob/main/docs/snapshot-format.md
 //!
 //! # Format
 //!
-//! All integers little-endian; `f32` as raw LE bit patterns.
-//!
-//! **Versions 1–2** are a single sequential stream with a trailing whole-file
-//! CRC-32:
-//!
-//! ```text
-//! magic        8 × u8   "PECANSNP"
-//! version      u32      1 or 2
-//! model name   u32 len + UTF-8 bytes     — version ≥ 2 only; 0 = unnamed
-//! input rank   u32      then that many u32 dims
-//! output rank  u32      then that many u32 dims
-//! stage count  u32
-//! stages…               tagged (u8), bulk f32 data inline
-//! checksum     u32      CRC-32 (IEEE) over every preceding byte
-//! ```
-//!
-//! **Version 3** (current) splits the file into a self-checksummed header
-//! and 64-byte-aligned bulk **sections** addressed by a directory, stored in
-//! the engine's *runtime* layout (CAM rows `[p, d]`, tables `[cout, p]`)
-//! so a loader can construct the engine over a borrowed byte buffer — e.g.
-//! a memory-mapped file — with **no bulk copy**
-//! ([`FrozenEngine::open_snapshot`]):
+//! All integers little-endian; `f32` as raw LE bit patterns. The file is a
+//! self-checksummed header followed by 64-byte-aligned bulk **sections**
+//! addressed by a directory, stored in the engine's *runtime* layout (CAM
+//! rows `[p, d]`, tables `[cout, p]`) so a loader can construct the engine
+//! over a borrowed byte buffer — e.g. a memory-mapped file — with **no bulk
+//! copy** ([`FrozenEngine::open_snapshot`]):
 //!
 //! ```text
 //! magic          8 × u8   "PECANSNP"
@@ -43,40 +27,40 @@
 //! header_len     u32      bytes [0, header_len) are the header region
 //! section count  u32
 //! directory      count × { offset u64, byte_len u64, crc u32 }
-//! model name     u32 len + UTF-8 bytes
-//! input/output dims, stage count, stage descriptors
-//!                         — as v2, except every bulk f32 blob is replaced
-//!                           by the u32 index of its section
+//! model name     u32 len + UTF-8 bytes; 0 = unnamed
+//! input dims     u32 rank, then that many u32 dims
+//! output dims    u32 rank, then that many u32 dims
+//! stage count    u32
+//! stages…                 tagged (u8); every bulk f32 blob is replaced
+//!                         by the u32 index of its section
 //! header CRC     u32      CRC-32 over bytes [0, header_len - 4)
 //! zero padding            to the next 64-byte boundary
 //! sections…               raw LE f32, each 64-byte aligned, zero-padded;
-//!                         the file length is a multiple of 64
+//!                         the file ends at the first 64-byte boundary
+//!                         after the header and every section
 //! ```
 //!
 //! Every section carries its own CRC-32 in the directory: the copying
 //! loader checks them all; the zero-copy loader checks the header eagerly
 //! and leaves section verification to [`FrozenEngine::open_snapshot_verified`]
 //! or the `snapshot-tool verify` command, so an open does not have to fault
-//! in the bulk data (instant cold start).
+//! in the bulk data (instant cold start). Both run the same decoder; they
+//! differ only in whether a section becomes an owned copy or a borrowed
+//! window.
 //!
-//! [`FrozenEngine::load_snapshot`] still reads version-1/2 files
-//! bit-identically via the copying path. Snapshots from *newer* revisions
-//! are rejected with a typed [`SnapshotError::UnsupportedVersion`]. To
-//! produce a file an old reader can load, use
-//! [`FrozenEngine::snapshot_bytes_versioned`] with version 1 or 2 (also
-//! exposed as `snapshot-tool convert`).
+//! This build reads and writes version 3 only: any other version is
+//! rejected with a typed [`SnapshotError::UnsupportedVersion`].
 //!
 //! Stage tags: `0` ReLU · `1` MaxPool (`kernel`, `stride` as u32) · `2`
 //! GlobalAvgPool · `3` Flatten · `4` PECAN conv · `5` PECAN linear. PECAN
 //! payloads carry `variant` (u8: 0 = Distance, 1 = Angle), `dim`,
 //! `groups`, `prototypes` (u32), `tau` (f32), `c_out` (u32), a bias flag
 //! (u8), conv-only geometry (`c_in`, `h_in`, `w_in`, `kernel`, `stride`,
-//! `padding` as u32), then per group the codebook and the `[c_out, p]`
-//! table (v1/v2: inline `[d, p]` codebook bits; v3: section indices of the
-//! `[p, d]` CAM rows and the table), then the bias when flagged.
+//! `padding` as u32), then per group the section indices of the `[p, d]`
+//! CAM rows and the `[c_out, p]` table, then the bias section when flagged.
 //!
 //! Every decoding failure is a typed [`SnapshotError`] — truncation,
-//! flipped bits (checksum), foreign files (magic), future versions,
+//! flipped bits (checksum), foreign files (magic), other versions,
 //! structural nonsense (with a *valid* checksum) and trailing bytes all
 //! surface as errors, never panics.
 
@@ -96,10 +80,10 @@ use std::sync::Arc;
 
 /// First eight bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PECANSNP";
-/// Format revision this build writes and the highest it reads.
+/// The format revision this build writes, and the only one it reads.
 pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Alignment of every v3 section (and of the v3 file length).
+/// Alignment of every section (and of the file length).
 pub const SECTION_ALIGN: usize = 64;
 
 const TAG_RELU: u8 = 0;
@@ -109,12 +93,23 @@ const TAG_FLATTEN: u8 = 3;
 const TAG_CONV: u8 = 4;
 const TAG_LINEAR: u8 = 5;
 
+/// Smallest possible header: magic(8) + version(4) + header_len(4) +
+/// section count(4) + header CRC(4).
+const MIN_HEADER: usize = 24;
+
 /// Longest accepted model-name header, in bytes.
 const NAME_LIMIT: usize = 4096;
 
-/// Ceiling on the v3 section count — far above any real model, small
+/// Ceiling on the section count — far above any real model, small
 /// enough that a corrupt header cannot demand a gigantic directory.
 const SECTION_LIMIT: usize = 1 << 20;
+
+/// Ceiling on any single declared dimension — far above every model in the
+/// workspace, small enough that `rank · dim · 4` cannot wrap.
+const DIM_LIMIT: usize = 1 << 24;
+
+/// Ceiling on the declared stage count.
+const STAGE_LIMIT: usize = 4096;
 
 // ---------------------------------------------------------------- CRC-32
 
@@ -149,6 +144,10 @@ fn align_up(n: usize) -> usize {
     n.div_ceil(SECTION_ALIGN) * SECTION_ALIGN
 }
 
+fn corrupt(e: impl ToString) -> SnapshotError {
+    SnapshotError::Corrupt(e.to_string())
+}
+
 // ---------------------------------------------------------------- writer
 
 struct Writer {
@@ -168,15 +167,12 @@ impl Writer {
     fn usize(&mut self, v: usize) {
         // Shapes in this workspace are far below u32::MAX; keep the file
         // format fixed-width regardless of host pointer size.
+        // analyze: allow(hot-path-panic) -- writer only: every dimension
+        // of a compiled engine fits u32; the load path never writes
         self.u32(u32::try_from(v).expect("snapshot dimension exceeds u32"));
     }
     fn f32(&mut self, v: f32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32s(&mut self, vs: &[f32]) {
-        for &v in vs {
-            self.f32(v);
-        }
     }
     fn dims(&mut self, dims: &[usize]) {
         self.usize(dims.len());
@@ -186,7 +182,7 @@ impl Writer {
     }
 }
 
-/// Collects the bulk payloads of a v3 snapshot while the stage descriptors
+/// Collects the bulk payloads of a snapshot while the stage descriptors
 /// are encoded; the assembler lays them out aligned afterwards.
 struct SectionWriter {
     payloads: Vec<Vec<u8>>,
@@ -201,6 +197,69 @@ impl SectionWriter {
         }
         self.payloads.push(buf);
         self.payloads.len() - 1
+    }
+}
+
+/// PECAN payload: the scalar header (plus conv geometry), then per group
+/// the section indices of the `[p, d]` CAM rows and the `[cout, p]` table,
+/// then the bias section. The runtime layout goes to disk unchanged —
+/// serialization is a byte copy and zero-copy loading needs no transform.
+fn write_pecan(
+    w: &mut Writer,
+    sections: &mut SectionWriter,
+    lut: &LayerLut,
+    geom: Option<&Conv2dGeometry>,
+) {
+    let cfg = lut.config();
+    w.u8(match lut.variant() {
+        PecanVariant::Distance => 0,
+        PecanVariant::Angle => 1,
+    });
+    w.usize(cfg.dim());
+    w.usize(cfg.groups());
+    w.usize(cfg.prototypes());
+    w.f32(cfg.tau());
+    w.usize(lut.outputs());
+    w.u8(u8::from(lut.bias().is_some()));
+    if let Some(g) = geom {
+        w.usize(g.c_in());
+        w.usize(g.h_in());
+        w.usize(g.w_in());
+        w.usize(g.kernel());
+        w.usize(g.stride());
+        w.usize(g.padding());
+    }
+    for (rows, table) in lut.cam_rows().iter().zip(lut.luts()) {
+        w.usize(sections.add(rows.data()));
+        w.usize(sections.add(table.table().data()));
+    }
+    if let Some(b) = lut.bias() {
+        w.usize(sections.add(b.data()));
+    }
+}
+
+fn write_stage(w: &mut Writer, sections: &mut SectionWriter, stage: &dyn Stage) {
+    let any = stage.as_any();
+    if any.downcast_ref::<ReluStage>().is_some() {
+        w.u8(TAG_RELU);
+    } else if let Some(pool) = any.downcast_ref::<MaxPoolStage>() {
+        w.u8(TAG_MAXPOOL);
+        w.usize(pool.kernel());
+        w.usize(pool.stride());
+    } else if any.downcast_ref::<GlobalAvgPoolStage>().is_some() {
+        w.u8(TAG_GAP);
+    } else if any.downcast_ref::<FlattenStage>().is_some() {
+        w.u8(TAG_FLATTEN);
+    } else if let Some(conv) = any.downcast_ref::<LutConvStage>() {
+        w.u8(TAG_CONV);
+        write_pecan(w, sections, conv.lut_engine(), Some(conv.geometry()));
+    } else if let Some(lin) = any.downcast_ref::<LutLinearStage>() {
+        w.u8(TAG_LINEAR);
+        write_pecan(w, sections, lin.lut_engine(), None);
+    } else {
+        // analyze: allow(hot-path-panic) -- writer only: engines are
+        // built from exactly the stage kinds tagged above
+        unreachable!("every compiled stage kind has a snapshot tag");
     }
 }
 
@@ -230,7 +289,7 @@ impl<'a> Reader<'a> {
     }
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("eight bytes")))
+        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
     fn usize(&mut self) -> Result<usize, SnapshotError> {
         Ok(self.u32()? as usize)
@@ -238,12 +297,6 @@ impl<'a> Reader<'a> {
     fn f32(&mut self) -> Result<f32, SnapshotError> {
         let b = self.take(4)?;
         Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, SnapshotError> {
-        let b = self.take(n.checked_mul(4).ok_or_else(|| {
-            SnapshotError::Corrupt("element count overflows".into())
-        })?)?;
-        Ok(decode_f32s(b))
     }
     /// Bounded dimension list; `limit` guards against absurd declared sizes
     /// in a file whose checksum happens to validate.
@@ -288,75 +341,183 @@ fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
         .collect()
 }
 
-/// Ceiling on any single declared dimension — far above every model in the
-/// workspace, small enough that `rank · dim · 4` cannot wrap.
-const DIM_LIMIT: usize = 1 << 24;
+/// One entry of the section directory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SectionInfo {
+    /// Byte offset of the section from the start of the file (64-aligned).
+    pub offset: u64,
+    /// Unpadded payload length in bytes (a multiple of 4).
+    pub byte_len: u64,
+    /// CRC-32 (IEEE) over the unpadded payload.
+    pub crc: u32,
+}
 
-// ---------------------------------------------------------------- encode
+/// Structural metadata of a snapshot file, decoded without building the
+/// engine — the `snapshot-tool info` view.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotInfo {
+    /// Format revision of the file (always [`SNAPSHOT_VERSION`]).
+    pub version: u32,
+    /// Embedded model name.
+    pub name: Option<String>,
+    /// Declared per-sample input shape.
+    pub input_shape: Vec<usize>,
+    /// Declared per-sample output shape.
+    pub output_shape: Vec<usize>,
+    /// Declared stage count.
+    pub stage_count: usize,
+    /// Total file length in bytes.
+    pub file_len: usize,
+    /// The section directory.
+    pub sections: Vec<SectionInfo>,
+}
 
-/// Encodes the PECAN scalar header shared by every format revision.
-fn write_pecan_scalars(w: &mut Writer, lut: &LayerLut, geom: Option<&Conv2dGeometry>) {
-    let cfg = lut.config();
-    w.u8(match lut.variant() {
-        PecanVariant::Distance => 0,
-        PecanVariant::Angle => 1,
-    });
-    w.usize(cfg.dim());
-    w.usize(cfg.groups());
-    w.usize(cfg.prototypes());
-    w.f32(cfg.tau());
-    w.usize(lut.outputs());
-    w.u8(u8::from(lut.bias().is_some()));
-    if let Some(g) = geom {
-        w.usize(g.c_in());
-        w.usize(g.h_in());
-        w.usize(g.w_in());
-        w.usize(g.kernel());
-        w.usize(g.stride());
-        w.usize(g.padding());
+/// Parses and validates everything before the stage records — magic and
+/// version, the header CRC, the section directory, the file length, the
+/// model name, both shapes and the stage count — and returns them with a
+/// reader positioned at the first stage record. Every reader (copying,
+/// zero-copy, inspection) starts here.
+fn parse_header(bytes: &[u8]) -> Result<(SnapshotInfo, Reader<'_>), SnapshotError> {
+    let mut r = Reader { bytes, pos: 0 };
+    if r.take(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    // The version gates before any checksum, so a file of another format
+    // revision reports its version, not a spurious bit-rot error.
+    let version = r.u32()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion { found: version });
+    }
+    if bytes.len() < MIN_HEADER {
+        return Err(SnapshotError::Truncated { needed: MIN_HEADER, available: bytes.len() });
+    }
+    let header_len = r.usize()?;
+    if header_len < MIN_HEADER || header_len > bytes.len() {
+        return Err(SnapshotError::Corrupt(format!(
+            "header length {header_len} outside file of {} bytes",
+            bytes.len()
+        )));
+    }
+    let crc_at = header_len - 4;
+    let stored = Reader { bytes, pos: crc_at }.u32()?;
+    let computed = crc32(&bytes[..crc_at]);
+    if stored != computed {
+        return Err(SnapshotError::ChecksumMismatch { stored, computed });
+    }
+    let mut r = Reader { bytes: &bytes[..crc_at], pos: r.pos };
+    let count = r.usize()?;
+    if count > SECTION_LIMIT {
+        return Err(SnapshotError::Corrupt(format!("{count} sections")));
+    }
+    let mut sections = Vec::with_capacity(count);
+    let mut end = header_len as u64;
+    for i in 0..count {
+        let (offset, byte_len, crc) = (r.u64()?, r.u64()?, r.u32()?);
+        match offset.checked_add(byte_len) {
+            Some(e)
+                if e <= bytes.len() as u64
+                    && offset >= header_len as u64
+                    && offset % SECTION_ALIGN as u64 == 0
+                    && byte_len % 4 == 0 =>
+            {
+                end = end.max(e);
+            }
+            _ => {
+                return Err(SnapshotError::Corrupt(format!(
+                    "section {i} spans [{offset}, {offset}+{byte_len}) in a file of {} bytes",
+                    bytes.len()
+                )))
+            }
+        }
+        sections.push(SectionInfo { offset, byte_len, crc });
+    }
+    // `end` ≤ the file length, so it fits `usize`.
+    let file_len = align_up(end as usize);
+    if bytes.len() != file_len {
+        return Err(SnapshotError::Corrupt(format!(
+            "file is {} bytes, but its header and sections end at {file_len}",
+            bytes.len()
+        )));
+    }
+    let name = r.name()?;
+    let input_shape = r.dims(DIM_LIMIT)?;
+    let output_shape = r.dims(DIM_LIMIT)?;
+    let stage_count = r.usize()?;
+    if stage_count > STAGE_LIMIT {
+        return Err(SnapshotError::Corrupt(format!("{stage_count} stages")));
+    }
+    let info =
+        SnapshotInfo { version, name, input_shape, output_shape, stage_count, file_len, sections };
+    Ok((info, r))
+}
+
+/// Where a decoded engine's bulk tensors live.
+#[derive(Clone, Copy)]
+pub(crate) enum Storage<'a> {
+    /// One owned heap copy per section; every section CRC is checked.
+    Owned,
+    /// Windows borrowed from `owner`, which views the decoded bytes as
+    /// `f32`s; section CRCs are checked only when `verify` is set.
+    Shared { owner: &'a Arc<dyn F32Source>, verify: bool },
+}
+
+/// The decoder's view of the sections: the file bytes, the directory and
+/// how a section becomes a [`Tensor`].
+struct Sections<'a> {
+    bytes: &'a [u8],
+    dir: &'a [SectionInfo],
+    storage: Storage<'a>,
+}
+
+impl Sections<'_> {
+    /// Section `idx` as a tensor of shape `dims`. The section's length
+    /// must match the shape — a section may not be reinterpreted.
+    fn tensor(&self, idx: usize, dims: &[usize]) -> Result<Tensor, SnapshotError> {
+        let entry = self.dir.get(idx).ok_or_else(|| {
+            SnapshotError::Corrupt(format!(
+                "section index {idx} outside a {}-entry directory",
+                self.dir.len()
+            ))
+        })?;
+        let want = dims.iter().product::<usize>() as u64 * 4;
+        if entry.byte_len != want {
+            return Err(SnapshotError::Corrupt(format!(
+                "section {idx} holds {} bytes, shape {dims:?} needs {want}",
+                entry.byte_len
+            )));
+        }
+        // The header parse bounded every section by the file length.
+        let start = entry.offset as usize;
+        let payload = &self.bytes[start..start + entry.byte_len as usize];
+        let verify = match self.storage {
+            Storage::Owned => true,
+            Storage::Shared { verify, .. } => verify,
+        };
+        if verify {
+            let computed = crc32(payload);
+            if computed != entry.crc {
+                return Err(SnapshotError::ChecksumMismatch { stored: entry.crc, computed });
+            }
+        }
+        match self.storage {
+            Storage::Owned => Tensor::from_vec(decode_f32s(payload), dims),
+            Storage::Shared { owner, .. } => {
+                Tensor::from_shared(Arc::clone(owner), start / 4, dims)
+            }
+        }
+        .map_err(corrupt)
     }
 }
 
-/// v1/v2 PECAN payload: scalars then inline `[d, p]` codebook and
-/// `[cout, p]` table bits per group, then the bias.
-fn write_pecan(w: &mut Writer, lut: &LayerLut, geom: Option<&Conv2dGeometry>) {
-    write_pecan_scalars(w, lut, geom);
-    for (cb, table) in lut.codebooks().iter().zip(lut.luts()) {
-        w.f32s(cb.data());
-        w.f32s(table.table().data());
-    }
-    if let Some(b) = lut.bias() {
-        w.f32s(b.data());
-    }
+/// The scalar head of a PECAN payload, before the conv geometry.
+struct PecanHead {
+    variant: PecanVariant,
+    config: PqConfig,
+    c_out: usize,
+    has_bias: bool,
 }
 
-/// v3 PECAN payload: scalars then per group the section indices of the
-/// `[p, d]` CAM rows and the `[cout, p]` table, then the bias section.
-/// The runtime layout goes to disk unchanged — serialization is a byte
-/// copy and zero-copy loading needs no transform.
-fn write_pecan_v3(
-    w: &mut Writer,
-    sections: &mut SectionWriter,
-    lut: &LayerLut,
-    geom: Option<&Conv2dGeometry>,
-) {
-    write_pecan_scalars(w, lut, geom);
-    for (rows, table) in lut.cam_rows().iter().zip(lut.luts()) {
-        w.usize(sections.add(rows.data()));
-        w.usize(sections.add(table.table().data()));
-    }
-    if let Some(b) = lut.bias() {
-        w.usize(sections.add(b.data()));
-    }
-}
-
-/// Reads the PECAN scalar header shared by every format revision and
-/// derives the validated [`PqConfig`] (+ conv geometry).
-#[allow(clippy::type_complexity)]
-fn read_pecan_scalars(
-    r: &mut Reader<'_>,
-    conv: bool,
-) -> Result<(PecanVariant, PqConfig, usize, bool, Option<Conv2dGeometry>), SnapshotError> {
+fn read_pecan_head(r: &mut Reader<'_>) -> Result<PecanHead, SnapshotError> {
     let variant = match r.u8()? {
         0 => PecanVariant::Distance,
         1 => PecanVariant::Angle,
@@ -379,204 +540,55 @@ fn read_pecan_scalars(
             return Err(SnapshotError::Corrupt(format!("{what} = {v}")));
         }
     }
-    let geom = if conv {
-        let (c_in, h_in, w_in) = (r.usize()?, r.usize()?, r.usize()?);
-        let (kernel, stride, padding) = (r.usize()?, r.usize()?, r.usize()?);
-        Some(
-            Conv2dGeometry::new(c_in, h_in, w_in, kernel, stride, padding)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-        )
-    } else {
-        None
-    };
-    let config = PqConfig::for_rows(groups * dim, prototypes, dim, tau)
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    if let Some(g) = &geom {
-        if g.patch_len() != config.rows() {
-            return Err(SnapshotError::Corrupt(format!(
-                "conv patch length {} does not match {} PQ rows",
-                g.patch_len(),
-                config.rows()
-            )));
-        }
-    }
-    Ok((variant, config, c_out, has_bias, geom))
+    let config = PqConfig::for_rows(groups * dim, prototypes, dim, tau).map_err(corrupt)?;
+    Ok(PecanHead { variant, config, c_out, has_bias })
 }
 
-fn read_pecan(
-    r: &mut Reader<'_>,
-    conv: bool,
-) -> Result<(LayerLut, Option<Conv2dGeometry>), SnapshotError> {
-    let (variant, config, c_out, has_bias, geom) = read_pecan_scalars(r, conv)?;
-    let (dim, groups, prototypes) =
-        (config.dim(), config.groups(), config.prototypes());
-    let mut codebooks = Vec::with_capacity(groups);
-    let mut tables = Vec::with_capacity(groups);
-    for _ in 0..groups {
-        let cb = Tensor::from_vec(r.f32s(dim * prototypes)?, &[dim, prototypes])
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        let table = Tensor::from_vec(r.f32s(c_out * prototypes)?, &[c_out, prototypes])
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-        codebooks.push(cb);
-        tables.push(
-            LookupTable::new(table).map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-        );
-    }
-    let bias = if has_bias {
-        Some(Tensor::from_slice(&r.f32s(c_out)?))
-    } else {
-        None
-    };
-    let lut = LayerLut::from_tables(variant, config, &codebooks, tables, bias)
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    Ok((lut, geom))
+fn read_geometry(r: &mut Reader<'_>) -> Result<Conv2dGeometry, SnapshotError> {
+    let (c_in, h_in, w_in) = (r.usize()?, r.usize()?, r.usize()?);
+    let (kernel, stride, padding) = (r.usize()?, r.usize()?, r.usize()?);
+    Conv2dGeometry::new(c_in, h_in, w_in, kernel, stride, padding).map_err(corrupt)
 }
 
-/// Section-materialization callback for v3 readers: maps a directory
-/// index plus its expected shape to a [`Tensor`] (copying or zero-copy).
-type Materialize<'a> = &'a dyn Fn(usize, &[usize]) -> Result<Tensor, SnapshotError>;
-
-/// v3 PECAN reader: materializes each referenced section as a [`Tensor`]
-/// through `materialize` (copying or zero-copy, the caller decides) and
-/// builds the engine with [`LayerLut::from_borrowed_tables`] — no
-/// transpose, no reshuffle.
-fn read_pecan_v3(
+/// Reads the section indices that close a PECAN payload and builds the
+/// layer engine over those sections — no transpose, no reshuffle.
+fn read_lut(
     r: &mut Reader<'_>,
-    conv: bool,
-    materialize: Materialize<'_>,
-) -> Result<(LayerLut, Option<Conv2dGeometry>), SnapshotError> {
-    let (variant, config, c_out, has_bias, geom) = read_pecan_scalars(r, conv)?;
-    let (dim, groups, prototypes) =
-        (config.dim(), config.groups(), config.prototypes());
-    let mut cams = Vec::with_capacity(groups);
-    let mut tables = Vec::with_capacity(groups);
-    for _ in 0..groups {
+    sections: &Sections<'_>,
+    head: PecanHead,
+) -> Result<LayerLut, SnapshotError> {
+    let PecanHead { variant, config, c_out, has_bias } = head;
+    let (dim, prototypes) = (config.dim(), config.prototypes());
+    let mut cams = Vec::with_capacity(config.groups());
+    let mut tables = Vec::with_capacity(config.groups());
+    for _ in 0..config.groups() {
         let rows_idx = r.usize()?;
         let table_idx = r.usize()?;
-        cams.push(materialize(rows_idx, &[prototypes, dim])?);
-        tables.push(
-            LookupTable::new(materialize(table_idx, &[c_out, prototypes])?)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-        );
+        cams.push(sections.tensor(rows_idx, &[prototypes, dim])?);
+        let table = sections.tensor(table_idx, &[c_out, prototypes])?;
+        tables.push(LookupTable::new(table).map_err(corrupt)?);
     }
-    let bias = if has_bias {
-        let idx = r.usize()?;
-        Some(materialize(idx, &[c_out])?)
-    } else {
-        None
-    };
-    let lut = LayerLut::from_borrowed_tables(variant, config, cams, tables, bias)
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    Ok((lut, geom))
+    let bias = if has_bias { Some(sections.tensor(r.usize()?, &[c_out])?) } else { None };
+    LayerLut::from_tables(variant, config, cams, tables, bias).map_err(corrupt)
 }
 
-fn write_stage(w: &mut Writer, sections: Option<&mut SectionWriter>, stage: &dyn Stage) {
-    let any = stage.as_any();
-    if any.downcast_ref::<ReluStage>().is_some() {
-        w.u8(TAG_RELU);
-    } else if let Some(pool) = any.downcast_ref::<MaxPoolStage>() {
-        w.u8(TAG_MAXPOOL);
-        w.usize(pool.kernel());
-        w.usize(pool.stride());
-    } else if any.downcast_ref::<GlobalAvgPoolStage>().is_some() {
-        w.u8(TAG_GAP);
-    } else if any.downcast_ref::<FlattenStage>().is_some() {
-        w.u8(TAG_FLATTEN);
-    } else if let Some(conv) = any.downcast_ref::<LutConvStage>() {
-        w.u8(TAG_CONV);
-        match sections {
-            Some(s) => write_pecan_v3(w, s, conv.lut_engine(), Some(conv.geometry())),
-            None => write_pecan(w, conv.lut_engine(), Some(conv.geometry())),
-        }
-    } else if let Some(lin) = any.downcast_ref::<LutLinearStage>() {
-        w.u8(TAG_LINEAR);
-        match sections {
-            Some(s) => write_pecan_v3(w, s, lin.lut_engine(), None),
-            None => write_pecan(w, lin.lut_engine(), None),
-        }
-    } else {
-        unreachable!("every compiled stage kind has a snapshot tag");
-    }
-}
-
-// ------------------------------------------------------------ v3 sections
-
-/// One entry of the v3 section directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionInfo {
-    /// Byte offset of the section from the start of the file (64-aligned).
-    pub offset: u64,
-    /// Unpadded payload length in bytes (a multiple of 4).
-    pub byte_len: u64,
-    /// CRC-32 (IEEE) over the unpadded payload.
-    pub crc: u32,
-}
-
-/// Parses and validates the v3 header region: checks the header CRC,
-/// reads the section directory, and returns the directory plus a reader
-/// positioned at the model name (the tail).
-fn read_v3_header(bytes: &[u8]) -> Result<(Vec<SectionInfo>, Reader<'_>), SnapshotError> {
-    // magic(8) + version(4) + header_len(4) + count(4) + CRC(4)
-    const MIN_HEADER: usize = 24;
-    if bytes.len() < MIN_HEADER {
-        return Err(SnapshotError::Truncated { needed: MIN_HEADER, available: bytes.len() });
-    }
-    let header_len =
-        u32::from_le_bytes(bytes[12..16].try_into().expect("four bytes")) as usize;
-    if header_len < MIN_HEADER || header_len > bytes.len() {
-        return Err(SnapshotError::Corrupt(format!(
-            "header length {header_len} outside file of {} bytes",
-            bytes.len()
-        )));
-    }
-    let stored = u32::from_le_bytes(
-        bytes[header_len - 4..header_len].try_into().expect("four bytes"),
-    );
-    let computed = crc32(&bytes[..header_len - 4]);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
-    }
-    let mut r = Reader { bytes: &bytes[..header_len - 4], pos: 16 };
-    let count = r.usize()?;
-    if count > SECTION_LIMIT {
-        return Err(SnapshotError::Corrupt(format!("{count} sections")));
-    }
-    let mut dir = Vec::with_capacity(count);
-    for i in 0..count {
-        let offset = r.u64()?;
-        let byte_len = r.u64()?;
-        let crc = r.u32()?;
-        let end = offset.checked_add(byte_len);
-        if offset as usize % SECTION_ALIGN != 0
-            || byte_len % 4 != 0
-            || end.map_or(true, |e| e > bytes.len() as u64)
-            || (offset as usize) < header_len
-        {
+/// The snapshot decoder behind every loader: validates the header, then
+/// decodes the stage records, materializing each referenced section as
+/// `storage` says.
+pub(crate) fn decode(bytes: &[u8], storage: Storage<'_>) -> Result<FrozenEngine, SnapshotError> {
+    if let Storage::Shared { owner, .. } = storage {
+        if bytes.len() != owner.f32s().len() * 4 {
             return Err(SnapshotError::Corrupt(format!(
-                "section {i} spans [{offset}, {offset}+{byte_len}) in a file of {} bytes",
+                "shared source of {} scalars does not cover the {}-byte file",
+                owner.f32s().len(),
                 bytes.len()
             )));
         }
-        dir.push(SectionInfo { offset, byte_len, crc });
     }
-    Ok((dir, r))
-}
-
-/// Decodes the v3 tail (name, shapes, stages) of an already-validated
-/// header, materializing sections through `materialize`.
-fn read_v3_engine(
-    mut r: Reader<'_>,
-    materialize: Materialize<'_>,
-) -> Result<FrozenEngine, SnapshotError> {
-    let name = r.name()?;
-    let input_shape = r.dims(DIM_LIMIT)?;
-    let output_shape = r.dims(DIM_LIMIT)?;
-    let n_stages = r.usize()?;
-    if n_stages > 4096 {
-        return Err(SnapshotError::Corrupt(format!("{n_stages} stages")));
-    }
-    let mut stages: Vec<Box<dyn Stage>> = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
+    let (info, mut r) = parse_header(bytes)?;
+    let sections = Sections { bytes, dir: &info.sections, storage };
+    let mut stages: Vec<Box<dyn Stage>> = Vec::with_capacity(info.stage_count);
+    for _ in 0..info.stage_count {
         let stage: Box<dyn Stage> = match r.u8()? {
             TAG_RELU => Box::new(ReluStage),
             TAG_MAXPOOL => {
@@ -587,23 +599,19 @@ fn read_v3_engine(
                         "pool window {kernel}/{stride}"
                     )));
                 }
-                Box::new(
-                    MaxPoolStage::new(kernel, stride)
-                        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-                )
+                Box::new(MaxPoolStage::new(kernel, stride).map_err(corrupt)?)
             }
             TAG_GAP => Box::new(GlobalAvgPoolStage),
             TAG_FLATTEN => Box::new(FlattenStage),
             TAG_CONV => {
-                let (lut, geom) = read_pecan_v3(&mut r, true, materialize)?;
-                Box::new(
-                    LutConvStage::new(lut, geom.expect("conv payload carries geometry"))
-                        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-                )
+                let head = read_pecan_head(&mut r)?;
+                let geom = read_geometry(&mut r)?;
+                let lut = read_lut(&mut r, &sections, head)?;
+                Box::new(LutConvStage::new(lut, geom).map_err(corrupt)?)
             }
             TAG_LINEAR => {
-                let (lut, _) = read_pecan_v3(&mut r, false, materialize)?;
-                Box::new(LutLinearStage::new(lut))
+                let head = read_pecan_head(&mut r)?;
+                Box::new(LutLinearStage::new(read_lut(&mut r, &sections, head)?))
             }
             other => return Err(SnapshotError::Corrupt(format!("stage tag {other}"))),
         };
@@ -615,247 +623,43 @@ fn read_v3_engine(
             r.bytes.len() - r.pos
         )));
     }
-    FrozenEngine::from_parts(stages, input_shape, output_shape, name)
-        .map_err(|e| SnapshotError::Corrupt(e.to_string()))
-}
-
-/// Looks `idx` up in `dir` and validates its payload length against the
-/// expected tensor shape.
-fn section_entry<'d>(
-    dir: &'d [SectionInfo],
-    idx: usize,
-    dims: &[usize],
-) -> Result<&'d SectionInfo, SnapshotError> {
-    let entry = dir.get(idx).ok_or_else(|| {
-        SnapshotError::Corrupt(format!("section index {idx} outside a {}-entry directory", dir.len()))
-    })?;
-    let want = dims.iter().product::<usize>() as u64 * 4;
-    if entry.byte_len != want {
-        return Err(SnapshotError::Corrupt(format!(
-            "section {idx} holds {} bytes, shape {dims:?} needs {want}",
-            entry.byte_len
-        )));
-    }
-    Ok(entry)
-}
-
-/// Copying v3 loader: decodes every referenced section to the heap,
-/// verifying its CRC. Used by [`FrozenEngine::from_snapshot_bytes`].
-fn read_v3_copying(bytes: &[u8]) -> Result<FrozenEngine, SnapshotError> {
-    let (dir, tail) = read_v3_header(bytes)?;
-    let materialize = |idx: usize, dims: &[usize]| -> Result<Tensor, SnapshotError> {
-        let e = section_entry(&dir, idx, dims)?;
-        let payload = &bytes[e.offset as usize..(e.offset + e.byte_len) as usize];
-        let computed = crc32(payload);
-        if computed != e.crc {
-            return Err(SnapshotError::ChecksumMismatch { stored: e.crc, computed });
-        }
-        Tensor::from_vec(decode_f32s(payload), dims)
-            .map_err(|err| SnapshotError::Corrupt(err.to_string()))
-    };
-    read_v3_engine(tail, &materialize)
-}
-
-/// Zero-copy v3 loader: every bulk tensor is a borrowed window into
-/// `owner`'s buffer. `bytes` must be the same buffer `owner.f32s()` views
-/// (the caller guarantees it — e.g. both sides of one memory map).
-/// Section CRCs are checked only when `verify_sections` is set; the header
-/// CRC is always checked.
-pub(crate) fn engine_from_shared(
-    owner: &Arc<dyn F32Source>,
-    bytes: &[u8],
-    verify_sections: bool,
-) -> Result<FrozenEngine, SnapshotError> {
-    if bytes.len() != owner.f32s().len() * 4 {
-        return Err(SnapshotError::Corrupt(format!(
-            "shared source of {} scalars does not cover the {}-byte file",
-            owner.f32s().len(),
-            bytes.len()
-        )));
-    }
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 {
-        return Err(SnapshotError::Truncated {
-            needed: SNAPSHOT_MAGIC.len() + 4,
-            available: bytes.len(),
-        });
-    }
-    if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("four bytes"));
-    if version != 3 {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
-    let (dir, tail) = read_v3_header(bytes)?;
-    let materialize = |idx: usize, dims: &[usize]| -> Result<Tensor, SnapshotError> {
-        let e = section_entry(&dir, idx, dims)?;
-        if verify_sections {
-            let payload = &bytes[e.offset as usize..(e.offset + e.byte_len) as usize];
-            let computed = crc32(payload);
-            if computed != e.crc {
-                return Err(SnapshotError::ChecksumMismatch { stored: e.crc, computed });
-            }
-        }
-        Tensor::from_shared(Arc::clone(owner), e.offset as usize / 4, dims)
-            .map_err(|err| SnapshotError::Corrupt(err.to_string()))
-    };
-    read_v3_engine(tail, &materialize)
-}
-
-// ------------------------------------------------------------ inspection
-
-/// Structural metadata of a snapshot file, decoded without building the
-/// engine — the `snapshot-tool info` view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotInfo {
-    /// Format revision of the file.
-    pub version: u32,
-    /// Embedded model name (v2+).
-    pub name: Option<String>,
-    /// Declared per-sample input shape.
-    pub input_shape: Vec<usize>,
-    /// Declared per-sample output shape.
-    pub output_shape: Vec<usize>,
-    /// Declared stage count.
-    pub stage_count: usize,
-    /// Total file length in bytes.
-    pub file_len: usize,
-    /// v3 section directory (empty for v1/v2).
-    pub sections: Vec<SectionInfo>,
+    FrozenEngine::from_parts(stages, info.input_shape, info.output_shape, info.name)
+        .map_err(corrupt)
 }
 
 /// Decodes a snapshot's structural metadata — version, name, shapes, stage
-/// count and (v3) the section directory — verifying the header checksum
-/// (v3) or the whole-file checksum (v1/v2) but not decoding stage payloads.
+/// count and the section directory — verifying the header checksum and
+/// the file length but not decoding stage payloads.
 ///
 /// # Errors
 ///
 /// Any [`SnapshotError`] variant; see the module docs.
 pub fn inspect_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 {
-        return Err(SnapshotError::Truncated {
-            needed: SNAPSHOT_MAGIC.len() + 4,
-            available: bytes.len(),
-        });
-    }
-    if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("four bytes"));
-    if version == 0 || version > SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: version });
-    }
-    if version == 3 {
-        let (sections, mut r) = read_v3_header(bytes)?;
-        let name = r.name()?;
-        let input_shape = r.dims(DIM_LIMIT)?;
-        let output_shape = r.dims(DIM_LIMIT)?;
-        let stage_count = r.usize()?;
-        return Ok(SnapshotInfo {
-            version,
-            name,
-            input_shape,
-            output_shape,
-            stage_count,
-            file_len: bytes.len(),
-            sections,
-        });
-    }
-    const TRAILER: usize = 4;
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 + TRAILER {
-        return Err(SnapshotError::Truncated {
-            needed: SNAPSHOT_MAGIC.len() + 4 + TRAILER,
-            available: bytes.len(),
-        });
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - TRAILER);
-    let stored = u32::from_le_bytes(trailer.try_into().expect("four bytes"));
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
-    }
-    let mut r = Reader { bytes: payload, pos: SNAPSHOT_MAGIC.len() + 4 };
-    let name = if version >= 2 { r.name()? } else { None };
-    let input_shape = r.dims(DIM_LIMIT)?;
-    let output_shape = r.dims(DIM_LIMIT)?;
-    let stage_count = r.usize()?;
-    Ok(SnapshotInfo {
-        version,
-        name,
-        input_shape,
-        output_shape,
-        stage_count,
-        file_len: bytes.len(),
-        sections: Vec::new(),
-    })
+    parse_header(bytes).map(|(info, _)| info)
 }
 
 impl FrozenEngine {
-    /// Serializes the engine into the current snapshot byte format.
+    /// Serializes the engine into the snapshot byte format: encodes the
+    /// header tail while collecting section payloads, lays the sections
+    /// out 64-aligned after the header, then stamps the directory and
+    /// header CRC.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        self.snapshot_bytes_versioned(SNAPSHOT_VERSION)
-            .expect("the current version always encodes")
-    }
-
-    /// Serializes the engine as a specific format revision — version 1
-    /// for files the oldest reader can load (drops the model name),
-    /// version 2 for the sequential named format, version 3 for the
-    /// current section-directory format.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::UnsupportedVersion`] for revisions this build
-    /// does not write.
-    pub fn snapshot_bytes_versioned(&self, version: u32) -> Result<Vec<u8>, SnapshotError> {
-        if version == 0 || version > SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion { found: version });
-        }
-        if version == 3 {
-            return Ok(self.snapshot_bytes_v3());
-        }
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        w.u32(version);
-        if version >= 2 {
-            self.write_name(&mut w);
-        }
-        w.dims(&self.input_shape);
-        w.dims(&self.output_shape);
-        w.usize(self.stages.len());
-        for stage in &self.stages {
-            write_stage(&mut w, None, stage.as_ref());
-        }
-        let crc = crc32(&w.buf);
-        w.u32(crc);
-        Ok(w.buf)
-    }
-
-    /// Writes the length-prefixed model name, clamping over-long names on
-    /// a char boundary — a mid-character cut would write a header this
-    /// build's own loader rejects.
-    fn write_name(&self, w: &mut Writer) {
-        let name = self.name().unwrap_or("");
-        let mut end = name.len().min(NAME_LIMIT);
-        while !name.is_char_boundary(end) {
-            end -= 1;
-        }
-        let bytes = &name.as_bytes()[..end];
-        w.usize(bytes.len());
-        w.buf.extend_from_slice(bytes);
-    }
-
-    /// Assembles the v3 layout: encode the tail while collecting section
-    /// payloads, lay the sections out 64-aligned after the header, then
-    /// stamp the directory and header CRC.
-    fn snapshot_bytes_v3(&self) -> Vec<u8> {
         let mut tail = Writer { buf: Vec::new() };
         let mut sections = SectionWriter { payloads: Vec::new() };
-        self.write_name(&mut tail);
+        // Over-long names clamp on a char boundary — a mid-character cut
+        // would write a header this build's own loader rejects.
+        let name = self.name().unwrap_or("");
+        let mut name_end = name.len().min(NAME_LIMIT);
+        while !name.is_char_boundary(name_end) {
+            name_end -= 1;
+        }
+        tail.usize(name_end);
+        tail.buf.extend_from_slice(&name.as_bytes()[..name_end]);
         tail.dims(&self.input_shape);
         tail.dims(&self.output_shape);
         tail.usize(self.stages.len());
         for stage in &self.stages {
-            write_stage(&mut tail, Some(&mut sections), stage.as_ref());
+            write_stage(&mut tail, &mut sections, stage.as_ref());
         }
         let n = sections.payloads.len();
         // magic(8) + version(4) + header_len(4) + count(4) + dir + tail + CRC(4)
@@ -870,10 +674,9 @@ impl FrozenEngine {
             });
             cursor = align_up(cursor + p.len());
         }
-        let file_len = cursor.max(align_up(header_len));
-        let mut w = Writer { buf: Vec::with_capacity(file_len) };
+        let mut w = Writer { buf: Vec::with_capacity(cursor) };
         w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        w.u32(3);
+        w.u32(SNAPSHOT_VERSION);
         w.usize(header_len);
         w.usize(n);
         for e in &dir {
@@ -889,7 +692,7 @@ impl FrozenEngine {
             w.buf.resize(e.offset as usize, 0);
             w.buf.extend_from_slice(p);
         }
-        w.buf.resize(file_len, 0);
+        w.buf.resize(cursor, 0);
         w.buf
     }
 
@@ -903,101 +706,19 @@ impl FrozenEngine {
         Ok(())
     }
 
-    /// Decodes an engine from snapshot bytes (any supported version) via
-    /// the copying path — every bulk section is decoded to the heap and
-    /// its checksum verified.
+    /// Decodes an engine from snapshot bytes via the copying path — every
+    /// bulk section is copied to the heap and its checksum verified.
     ///
     /// # Errors
     ///
     /// Any [`SnapshotError`] variant; see the module docs. The returned
     /// engine is bit-identical to the one that produced the bytes.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        const TRAILER: usize = 4;
-        if bytes.len() < SNAPSHOT_MAGIC.len() + 4 + TRAILER {
-            return Err(SnapshotError::Truncated {
-                needed: SNAPSHOT_MAGIC.len() + 4 + TRAILER,
-                available: bytes.len(),
-            });
-        }
-        if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        // Version is checked before any checksum so a snapshot from a future
-        // format revision reports *version*, not a spurious bit-rot error —
-        // future revisions may checksum differently.
-        let version =
-            u32::from_le_bytes(bytes[8..12].try_into().expect("four bytes"));
-        if version == 0 || version > SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion { found: version });
-        }
-        if version == 3 {
-            return read_v3_copying(bytes);
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - TRAILER);
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        let mut r = Reader { bytes: payload, pos: SNAPSHOT_MAGIC.len() + 4 };
-        let name = if version >= 2 { r.name()? } else { None };
-        let input_shape = r.dims(DIM_LIMIT)?;
-        let output_shape = r.dims(DIM_LIMIT)?;
-        let n_stages = r.usize()?;
-        if n_stages > 4096 {
-            return Err(SnapshotError::Corrupt(format!("{n_stages} stages")));
-        }
-        let mut stages: Vec<Box<dyn Stage>> = Vec::with_capacity(n_stages);
-        for _ in 0..n_stages {
-            let stage: Box<dyn Stage> = match r.u8()? {
-                TAG_RELU => Box::new(ReluStage),
-                TAG_MAXPOOL => {
-                    let kernel = r.usize()?;
-                    let stride = r.usize()?;
-                    if kernel > DIM_LIMIT {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "pool window {kernel}/{stride}"
-                        )));
-                    }
-                    Box::new(
-                        MaxPoolStage::new(kernel, stride)
-                            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-                    )
-                }
-                TAG_GAP => Box::new(GlobalAvgPoolStage),
-                TAG_FLATTEN => Box::new(FlattenStage),
-                TAG_CONV => {
-                    let (lut, geom) = read_pecan(&mut r, true)?;
-                    Box::new(
-                        LutConvStage::new(
-                            lut,
-                            geom.expect("conv payload carries geometry"),
-                        )
-                        .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-                    )
-                }
-                TAG_LINEAR => {
-                    let (lut, _) = read_pecan(&mut r, false)?;
-                    Box::new(LutLinearStage::new(lut))
-                }
-                other => {
-                    return Err(SnapshotError::Corrupt(format!("stage tag {other}")))
-                }
-            };
-            stages.push(stage);
-        }
-        if r.pos != payload.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after last stage",
-                payload.len() - r.pos
-            )));
-        }
-        FrozenEngine::from_parts(stages, input_shape, output_shape, name)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))
+        decode(bytes, Storage::Owned)
     }
 
     /// Reads a snapshot file written by [`FrozenEngine::save_snapshot`]
-    /// (or any earlier format revision) via the copying path.
+    /// via the copying path.
     ///
     /// # Errors
     ///
@@ -1010,6 +731,11 @@ impl FrozenEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Offset of the model-name length field: right after the directory.
+    fn name_at(bytes: &[u8]) -> usize {
+        20 + 20 * u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize
+    }
 
     #[test]
     fn crc32_matches_reference_vectors() {
@@ -1024,10 +750,10 @@ mod tests {
         let bytes = engine.snapshot_bytes();
         assert_eq!(&bytes[..8], b"PECANSNP");
         assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), SNAPSHOT_VERSION);
-        // v2 places the name immediately after the version.
-        let v2 = engine.snapshot_bytes_versioned(2).unwrap();
-        let name_len = u32::from_le_bytes(v2[12..16].try_into().unwrap()) as usize;
-        assert_eq!(&v2[16..16 + name_len], b"mlp");
+        // The name follows the section directory.
+        let at = name_at(&bytes);
+        let name_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        assert_eq!(&bytes[at + 4..at + 4 + name_len], b"mlp");
     }
 
     #[test]
@@ -1054,28 +780,14 @@ mod tests {
         // must clamp to 4095, and the snapshot must load back cleanly.
         let long = "a".repeat(NAME_LIMIT - 1) + "é";
         let engine = crate::demo::mlp_engine(1).with_name(long);
-        let bytes = engine.snapshot_bytes_versioned(2).unwrap();
-        let name_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let bytes = engine.snapshot_bytes();
+        let at = name_at(&bytes);
+        let name_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
         assert_eq!(name_len, NAME_LIMIT - 1);
         let reloaded = FrozenEngine::from_snapshot_bytes(&bytes).unwrap();
         assert_eq!(reloaded.name(), Some("a".repeat(NAME_LIMIT - 1).as_str()));
-        // v3 clamps identically.
-        let v3 = reloaded.snapshot_bytes();
-        let again = FrozenEngine::from_snapshot_bytes(&v3).unwrap();
-        assert_eq!(again.name(), reloaded.name());
-    }
-
-    #[test]
-    fn version_1_encoding_drops_the_name() {
-        let engine = crate::demo::mlp_engine(1);
-        let v1 = engine.snapshot_bytes_versioned(1).unwrap();
-        assert_eq!(u32::from_le_bytes(v1[8..12].try_into().unwrap()), 1);
-        let loaded = FrozenEngine::from_snapshot_bytes(&v1).unwrap();
-        assert_eq!(loaded.name(), None);
-        assert!(matches!(
-            engine.snapshot_bytes_versioned(SNAPSHOT_VERSION + 1),
-            Err(SnapshotError::UnsupportedVersion { .. })
-        ));
+        // Re-saving the clamped name is stable.
+        assert_eq!(reloaded.snapshot_bytes(), bytes);
     }
 
     #[test]
@@ -1091,7 +803,7 @@ mod tests {
         // Zero-copy: build over an f32 view of the same bytes. The engine's
         // bulk tensors must be borrowed views, not heap copies.
         let scalars: Arc<dyn F32Source> = Arc::new(decode_f32s(&bytes));
-        let shared = engine_from_shared(&scalars, &bytes, true).unwrap();
+        let shared = decode(&bytes, Storage::Shared { owner: &scalars, verify: true }).unwrap();
         assert_eq!(shared.predict(&input).unwrap(), want);
         let mut shared_tensors = 0;
         for stage in shared.stages() {
@@ -1123,11 +835,11 @@ mod tests {
         ));
         let scalars: Arc<dyn F32Source> = Arc::new(decode_f32s(&bytes));
         assert!(matches!(
-            engine_from_shared(&scalars, &bytes, true),
+            decode(&bytes, Storage::Shared { owner: &scalars, verify: true }),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
         // The fast open skips section CRCs by design (the header still
         // validates) — corruption surfaces as different bits, not an error.
-        assert!(engine_from_shared(&scalars, &bytes, false).is_ok());
+        assert!(decode(&bytes, Storage::Shared { owner: &scalars, verify: false }).is_ok());
     }
 }

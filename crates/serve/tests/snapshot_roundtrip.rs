@@ -1,7 +1,10 @@
 //! Snapshot format pins: save→load→predict parity (bit-exact, by property
-//! test) and typed, panic-free errors for every corruption mode.
+//! test) and typed, panic-free errors for every corruption mode — from the
+//! copying loader and from both memory-mapped loaders alike.
 
-use pecan_serve::{demo, FrozenEngine, SnapshotError, SNAPSHOT_VERSION};
+use pecan_serve::{
+    crc32, demo, inspect_snapshot_bytes, FrozenEngine, SnapshotError, SNAPSHOT_VERSION,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,6 +13,85 @@ fn assert_bits_eq(a: &[f32], b: &[f32]) {
     assert_eq!(a.len(), b.len());
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "bit mismatch at {i}: {x} vs {y}");
+    }
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+}
+
+fn align64(n: usize) -> usize {
+    n.div_ceil(64) * 64
+}
+
+/// Offset of the model-name length field: right after the directory.
+fn name_at(bytes: &[u8]) -> usize {
+    20 + 20 * u32_at(bytes, 16) as usize
+}
+
+/// Applies `edit` to the header region (without its CRC), then rebuilds a
+/// well-formed file around it: `header_len`, the directory offsets and the
+/// header CRC are re-stamped, and the sections move if the header grew.
+/// Whatever the edit breaks stays broken, but behind a *valid* checksum.
+fn edit_header(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let header_len = u32_at(bytes, 12) as usize;
+    let sections_at = align64(header_len);
+    let mut out = bytes[..header_len - 4].to_vec();
+    edit(&mut out);
+    let new_len = out.len() + 4;
+    out[12..16].copy_from_slice(&(new_len as u32).to_le_bytes());
+    let shift = align64(new_len) - sections_at;
+    for i in 0..u32_at(&out, 16) as usize {
+        let at = 20 + 20 * i;
+        let offset = u64::from_le_bytes(out[at..at + 8].try_into().unwrap());
+        out[at..at + 8].copy_from_slice(&(offset + shift as u64).to_le_bytes());
+    }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.resize(align64(new_len), 0);
+    out.extend_from_slice(&bytes[sections_at..]);
+    out
+}
+
+/// A linear model small enough that its whole header is shorter than the
+/// 4096-byte name limit, and whose file is mostly padding and header.
+fn tiny_engine() -> FrozenEngine {
+    use pecan_core::{PecanLinear, PecanVariant, PqLayerSettings};
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut net = pecan_nn::Sequential::new();
+    net.push(Box::new(
+        PecanLinear::new(&mut rng, PecanVariant::Distance, PqLayerSettings::new(8, 4, 1.0), 16, 5)
+            .unwrap(),
+    ));
+    FrozenEngine::compile(&net, &[16]).unwrap().with_name("tiny")
+}
+
+/// Writes `bytes` to a file named after `tag` and returns what the
+/// verified and the fast memory-mapped loaders make of it.
+fn open_mapped(
+    tag: &str,
+    bytes: &[u8],
+) -> (Result<FrozenEngine, SnapshotError>, Result<FrozenEngine, SnapshotError>) {
+    let path =
+        std::env::temp_dir().join(format!("pecan-fuzz-{tag}-{}.psnp", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let verified = FrozenEngine::open_snapshot_verified(&path);
+    let fast = FrozenEngine::open_snapshot(&path);
+    std::fs::remove_file(&path).unwrap();
+    (verified, fast)
+}
+
+/// Asserts that a mapped loader failed with exactly `want`.
+fn same_error(
+    got: Result<FrozenEngine, SnapshotError>,
+    want: &SnapshotError,
+) -> Result<(), TestCaseError> {
+    match got {
+        Ok(_) => Err(TestCaseError::fail(format!("mapped load passed; copying gave {want:?}"))),
+        Err(e) => {
+            prop_assert_eq!(e.to_string(), want.to_string());
+            Ok(())
+        }
     }
 }
 
@@ -34,7 +116,8 @@ proptest! {
         prop_assert_eq!(bytes, reloaded.snapshot_bytes());
     }
 
-    /// No truncation point panics, and every one is a typed error.
+    /// No truncation point panics, every one is a typed error, and both
+    /// memory-mapped loaders report the same error as the copying one.
     #[test]
     fn any_truncation_is_a_typed_error(cut_permille in 0u32..1000) {
         let bytes = demo::mlp_engine(1).snapshot_bytes();
@@ -50,35 +133,30 @@ proptest! {
             ),
             "truncation at {cut} gave {err:?}"
         );
+        let (verified, fast) = open_mapped("truncation", &bytes[..cut]);
+        same_error(verified, &err)?;
+        same_error(fast, &err)?;
     }
 
-    /// No single flipped byte panics; almost all are checksum mismatches.
-    /// (v2: the whole-file CRC covers every byte. v3 inter-section padding
-    /// is deliberately outside any checksum, so this pin uses v2.)
-    #[test]
-    fn any_flipped_byte_is_a_typed_error(pos_permille in 0u32..1000, flip in 1u32..256) {
-        let mut bytes = demo::mlp_engine(2).snapshot_bytes_versioned(2).unwrap();
-        let pos = (bytes.len() as u64 * u64::from(pos_permille) / 1000) as usize;
-        let pos = pos.min(bytes.len() - 1);
-        bytes[pos] ^= flip as u8;
-        prop_assert!(FrozenEngine::from_snapshot_bytes(&bytes).is_err());
-    }
-
-    /// v3: a flip anywhere inside the header region is caught by the header
-    /// CRC (or by magic/version gating) before any section is touched.
+    /// A flip anywhere inside the header region is caught by the header
+    /// CRC (or by magic/version gating) before any section is touched —
+    /// by every loader, with the same error.
     #[test]
     fn v3_header_flip_is_a_typed_error(pos_permille in 0u32..1000, flip in 1u32..256) {
         let mut bytes = demo::mlp_engine(2).snapshot_bytes();
-        let header_len =
-            u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let header_len = u32_at(&bytes, 12) as usize;
         let pos = (header_len as u64 * u64::from(pos_permille) / 1000) as usize;
         let pos = pos.min(header_len - 1);
         bytes[pos] ^= flip as u8;
-        prop_assert!(FrozenEngine::from_snapshot_bytes(&bytes).is_err());
+        let err = FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err();
+        let (verified, fast) = open_mapped("header-flip", &bytes);
+        same_error(verified, &err)?;
+        same_error(fast, &err)?;
     }
 
-    /// v3: a flip anywhere inside any *section payload* trips exactly that
-    /// section's CRC on the copying path.
+    /// A flip anywhere inside any *section payload* trips exactly that
+    /// section's CRC on the copying and the verified mapped path. (The
+    /// fast mapped open skips section CRCs by design.)
     #[test]
     fn v3_section_flip_reports_checksum_mismatch(
         section_seed in proptest::num::u64::ANY,
@@ -86,16 +164,46 @@ proptest! {
         flip in 1u32..256,
     ) {
         let mut bytes = demo::mlp_engine(2).snapshot_bytes();
-        let info = pecan_serve::inspect_snapshot_bytes(&bytes).unwrap();
+        let info = inspect_snapshot_bytes(&bytes).unwrap();
         let s = info.sections[(section_seed % info.sections.len() as u64) as usize];
-        let pos = s.offset + s.byte_len as u64 * u64::from(pos_permille) / 1000;
+        let pos = s.offset + s.byte_len * u64::from(pos_permille) / 1000;
         let pos = (pos as usize).min((s.offset + s.byte_len) as usize - 1);
         bytes[pos] ^= flip as u8;
-        prop_assert!(matches!(
-            FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err(),
-            SnapshotError::ChecksumMismatch { .. }
-        ));
+        let err = FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err();
+        prop_assert!(matches!(err, SnapshotError::ChecksumMismatch { .. }));
+        let (verified, _) = open_mapped("section-flip", &bytes);
+        same_error(verified, &err)?;
     }
+}
+
+/// Every byte of a small file, three masks each: a flip is a typed error,
+/// or the byte lies outside every CRC range (padding, which is never read)
+/// and the engine answers bit-identically.
+#[test]
+fn any_flipped_byte_is_a_typed_error() {
+    let engine = tiny_engine();
+    let clean = engine.snapshot_bytes();
+    let info = inspect_snapshot_bytes(&clean).unwrap();
+    let header_len = u32_at(&clean, 12) as u64;
+    let x: Vec<f32> = (0..engine.input_len()).map(|i| i as f32 * 0.1 - 0.7).collect();
+    let want = engine.predict(&x).unwrap();
+    let mut accepted = 0;
+    for pos in 0..clean.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut bytes = clean.clone();
+            bytes[pos] ^= mask;
+            let Ok(loaded) = FrozenEngine::from_snapshot_bytes(&bytes) else { continue };
+            let at = pos as u64;
+            assert!(at >= header_len, "flip at {pos} inside the header was accepted");
+            assert!(
+                info.sections.iter().all(|s| at < s.offset || at >= s.offset + s.byte_len),
+                "flip at {pos} inside a section was accepted"
+            );
+            assert_bits_eq(&loaded.predict(&x).unwrap(), &want);
+            accepted += 1;
+        }
+    }
+    assert!(accepted > 0, "the file has padding, so some flips must pass");
 }
 
 #[test]
@@ -133,38 +241,40 @@ fn payload_flip_reports_checksum_mismatch() {
 
 #[test]
 fn trailing_garbage_is_rejected() {
-    let mut bytes = demo::mlp_engine(1).snapshot_bytes_versioned(2).unwrap();
-    // Keep the checksum trailer last so the tamper is structural, not bit
-    // rot: splice zeros in *before* the trailer and fix the checksum up.
-    let trailer_at = bytes.len() - 4;
-    bytes.splice(trailer_at..trailer_at, std::iter::repeat(0u8).take(8));
-    let payload_len = bytes.len() - 4;
-    let crc = pecan_serve::crc32(&bytes[..payload_len]);
-    let end = bytes.len();
-    bytes[end - 4..].copy_from_slice(&crc.to_le_bytes());
+    // Extra bytes after the last stage record, inside a header whose
+    // length and checksum are consistent: structural, not bit rot.
+    let bytes = edit_header(&demo::mlp_engine(1).snapshot_bytes(), |h| h.extend([0u8; 8]));
     match FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err() {
-        SnapshotError::Corrupt(msg) => assert!(msg.contains("trailing")),
+        SnapshotError::Corrupt(msg) => assert!(msg.contains("trailing"), "got: {msg}"),
         other => panic!("expected Corrupt(trailing), got {other:?}"),
     }
 }
 
-/// Byte offset of the input-shape *rank* field: magic(8) + version(4) +
-/// name header (v2 only: u32 length + bytes).
-fn input_rank_offset(bytes: &[u8]) -> usize {
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version >= 2 {
-        let name_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        16 + name_len
-    } else {
-        12
+#[test]
+fn file_length_must_match_the_layout() {
+    // The file ends at the first 64-byte boundary after the header and the
+    // last section: bytes appended (or padding cut) are corruption, for
+    // the copying and both mapped loaders.
+    let clean = tiny_engine().snapshot_bytes();
+    let last = *inspect_snapshot_bytes(&clean).unwrap().sections.last().unwrap();
+    let payload_end = (last.offset + last.byte_len) as usize;
+    assert!(payload_end < clean.len(), "the last section must end in padding");
+    let mut appended = clean.clone();
+    appended.extend([0u8; 64]);
+    let mut ragged = clean.clone();
+    ragged.extend([0u8; 3]);
+    for (tag, bytes) in [
+        ("appended", appended),
+        ("ragged", ragged),
+        ("cut-padding", clean[..payload_end].to_vec()),
+    ] {
+        let err = FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{tag}: got {err:?}");
+        assert!(matches!(inspect_snapshot_bytes(&bytes), Err(SnapshotError::Corrupt(_))));
+        let (verified, fast) = open_mapped(tag, &bytes);
+        same_error(verified, &err).unwrap();
+        same_error(fast, &err).unwrap();
     }
-}
-
-/// Recomputes and installs the CRC-32 trailer after a structural tamper.
-fn fix_crc(bytes: &mut [u8]) {
-    let payload_len = bytes.len() - 4;
-    let crc = pecan_serve::crc32(&bytes[..payload_len]);
-    bytes[payload_len..].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[test]
@@ -172,11 +282,12 @@ fn crafted_inconsistent_pipeline_is_rejected_not_a_panic() {
     // A snapshot whose checksum is valid but whose declared input shape
     // does not thread through the stages must fail at *load* time — never
     // at predict time inside a scheduler worker.
-    let mut bytes = demo::mlp_engine(1).snapshot_bytes_versioned(2).unwrap();
-    let dim_at = input_rank_offset(&bytes) + 4; // first dim after rank
-    assert_eq!(u32::from_le_bytes(bytes[dim_at..dim_at + 4].try_into().unwrap()), 64);
-    bytes[dim_at..dim_at + 4].copy_from_slice(&63u32.to_le_bytes());
-    fix_crc(&mut bytes);
+    let bytes = edit_header(&demo::mlp_engine(1).snapshot_bytes(), |h| {
+        let name_len = u32_at(h, name_at(h)) as usize;
+        let dim_at = name_at(h) + 4 + name_len + 4; // first dim after rank
+        assert_eq!(u32_at(h, dim_at), 64);
+        h[dim_at..dim_at + 4].copy_from_slice(&63u32.to_le_bytes());
+    });
     match FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err() {
         SnapshotError::Corrupt(msg) => {
             assert!(msg.contains("carries [63]"), "got: {msg}");
@@ -200,124 +311,77 @@ fn v2_round_trips_the_model_name() {
     assert_bits_eq(&reloaded.predict(&x).unwrap(), &reloaded2.predict(&x).unwrap());
 }
 
-#[test]
-fn v1_files_still_load_bit_identically() {
-    for (engine, conv) in [(demo::mlp_engine(3), false), (demo::lenet_engine(3), true)] {
-        let v1 = engine.snapshot_bytes_versioned(1).unwrap();
-        let loaded = FrozenEngine::from_snapshot_bytes(&v1).unwrap();
-        assert_eq!(loaded.name(), None, "v1 carries no name (conv={conv})");
-        assert_eq!(loaded.input_shape(), engine.input_shape());
-        let mut rng = StdRng::seed_from_u64(99);
-        let x = pecan_tensor::uniform(&mut rng, &[engine.input_len()], -1.0, 1.0).into_vec();
-        assert_bits_eq(&engine.predict(&x).unwrap(), &loaded.predict(&x).unwrap());
-        // v1 re-encoding of the reload is byte-identical (stable format)
-        assert_eq!(v1, loaded.snapshot_bytes_versioned(1).unwrap());
-    }
+fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
+    edit_header(bytes, |h| h[8..12].copy_from_slice(&version.to_le_bytes()))
 }
 
 #[test]
 fn version_0_and_future_versions_are_rejected_with_typed_errors() {
-    // Stamp a future version over valid v2 bytes: even with a *valid*
-    // checksum, the version gates first.
-    let mut bytes = demo::mlp_engine(1).snapshot_bytes_versioned(2).unwrap();
-    bytes[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-    fix_crc(&mut bytes);
-    match FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err() {
-        SnapshotError::UnsupportedVersion { found } => {
-            assert_eq!(found, SNAPSHOT_VERSION + 1);
+    // Even with a *valid* header checksum, the version gates first.
+    let bytes = demo::mlp_engine(1).snapshot_bytes();
+    for version in [0, SNAPSHOT_VERSION + 1] {
+        match FrozenEngine::from_snapshot_bytes(&with_version(&bytes, version)).unwrap_err() {
+            SnapshotError::UnsupportedVersion { found } => assert_eq!(found, version),
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
-    // version 0 is nonsense, not "older than 1"
-    bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
-    fix_crc(&mut bytes);
-    assert!(matches!(
-        FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err(),
-        SnapshotError::UnsupportedVersion { found: 0 }
-    ));
+}
+
+#[test]
+fn versions_1_and_2_are_rejected_as_unsupported() {
+    // This build reads version 3 only; the retired sequential revisions
+    // are reported as such, never misparsed as v3.
+    let bytes = demo::mlp_engine(1).snapshot_bytes();
+    for version in [1, 2] {
+        let stamped = with_version(&bytes, version);
+        let err = FrozenEngine::from_snapshot_bytes(&stamped).unwrap_err();
+        assert!(matches!(err, SnapshotError::UnsupportedVersion { found } if found == version));
+        assert!(err.to_string().contains("version 3 only"), "got: {err}");
+        assert!(matches!(
+            inspect_snapshot_bytes(&stamped),
+            Err(SnapshotError::UnsupportedVersion { found }) if found == version
+        ));
+    }
 }
 
 #[test]
 fn name_header_corruption_is_typed_never_a_panic() {
-    // The name sits at a fixed offset only in the v2 sequential layout.
-    let engine = demo::mlp_engine(1);
-    let base = engine.snapshot_bytes_versioned(2).unwrap();
-
-    // Declared name length beyond the whole payload → truncation. Needs a
-    // model small enough that an in-limit length (≤ 4096) overruns it.
-    let tiny = {
-        use pecan_core::{PecanLinear, PecanVariant, PqLayerSettings};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut net = pecan_nn::Sequential::new();
-        net.push(Box::new(
-            PecanLinear::new(
-                &mut rng,
-                PecanVariant::Distance,
-                PqLayerSettings::new(8, 4, 1.0),
-                16,
-                5,
-            )
-            .unwrap(),
-        ));
-        FrozenEngine::compile(&net, &[16]).unwrap().with_name("tiny")
+    let set_name_len = |bytes: &[u8], len: u32| {
+        edit_header(bytes, |h| {
+            let at = name_at(h);
+            h[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        })
     };
-    let mut bytes = tiny.snapshot_bytes_versioned(2).unwrap();
-    assert!(bytes.len() < 4000, "tiny model must be smaller than the declared name");
-    bytes[12..16].copy_from_slice(&4000u32.to_le_bytes());
-    fix_crc(&mut bytes);
+
+    // Declared name length beyond the whole header → truncation. Needs a
+    // model small enough that an in-limit length (≤ 4096) overruns it.
+    let tiny = tiny_engine().snapshot_bytes();
+    assert!(u32_at(&tiny, 12) < 4000, "tiny header must be shorter than the declared name");
     assert!(matches!(
-        FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err(),
+        FrozenEngine::from_snapshot_bytes(&set_name_len(&tiny, 4000)).unwrap_err(),
         SnapshotError::Truncated { .. }
     ));
 
     // Absurd declared length → bounded, typed Corrupt (no huge allocation).
-    let mut bytes = base.clone();
-    bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-    fix_crc(&mut bytes);
-    match FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err() {
+    let base = demo::mlp_engine(1).snapshot_bytes();
+    match FrozenEngine::from_snapshot_bytes(&set_name_len(&base, u32::MAX)).unwrap_err() {
         SnapshotError::Corrupt(msg) => assert!(msg.contains("name"), "got: {msg}"),
         other => panic!("expected Corrupt, got {other:?}"),
     }
 
     // Length shortened by one: the name eats into the shape fields and the
     // stream no longer lines up — typed error, never a panic.
-    let mut bytes = base;
-    let len = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    bytes[12..16].copy_from_slice(&(len - 1).to_le_bytes());
-    fix_crc(&mut bytes);
-    assert!(FrozenEngine::from_snapshot_bytes(&bytes).is_err());
+    let len = u32_at(&base, name_at(&base));
+    assert!(FrozenEngine::from_snapshot_bytes(&set_name_len(&base, len - 1)).is_err());
 
     // Non-UTF-8 name bytes → Corrupt.
-    let mut bytes = engine.snapshot_bytes_versioned(2).unwrap();
-    bytes[16] = 0xFF; // first name byte ("mlp" → invalid sequence)
-    fix_crc(&mut bytes);
+    let bytes = edit_header(&base, |h| {
+        let first = name_at(h) + 4; // first name byte ("mlp" → invalid sequence)
+        h[first] = 0xFF;
+    });
     match FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err() {
         SnapshotError::Corrupt(msg) => assert!(msg.contains("UTF-8"), "got: {msg}"),
         other => panic!("expected Corrupt, got {other:?}"),
-    }
-}
-
-#[test]
-fn v2_to_v3_conversion_is_bit_identical_at_the_infer_level() {
-    // The snapshot-tool convert path: load a v2 file, re-encode as v3.
-    // The converted engine must answer bit-identically — the layouts
-    // differ ([d,p] codebooks vs [p,d] CAM rows) but the bits must not.
-    for engine in [demo::mlp_engine(5), demo::lenet_engine(5)] {
-        let v2 = engine.snapshot_bytes_versioned(2).unwrap();
-        let from_v2 = FrozenEngine::from_snapshot_bytes(&v2).unwrap();
-        let v3 = from_v2.snapshot_bytes_versioned(3).unwrap();
-        let from_v3 = FrozenEngine::from_snapshot_bytes(&v3).unwrap();
-        assert_eq!(from_v2.name(), from_v3.name());
-        let mut rng = StdRng::seed_from_u64(55);
-        for _ in 0..3 {
-            let x = pecan_tensor::uniform(&mut rng, &[engine.input_len()], -1.0, 1.0)
-                .into_vec();
-            assert_bits_eq(&from_v2.predict(&x).unwrap(), &from_v3.predict(&x).unwrap());
-        }
-        // Converting back to v2 reproduces the original file byte-for-byte.
-        assert_eq!(v2, from_v3.snapshot_bytes_versioned(2).unwrap());
     }
 }
 

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // 2. Snapshot round trip — the reloaded engine is bit-identical and
-    //    carries its model name (format v2).
+    //    carries its model name.
     let path = std::env::temp_dir().join("pecan-serving-example.psnp");
     lenet.save_snapshot(&path)?;
     let lenet = Arc::new(FrozenEngine::load_snapshot(&path)?);
