@@ -89,11 +89,19 @@ impl Config {
             ]),
             // Scheduler submit, engine infer, event-loop poll, span
             // record, flight-recorder record: a panic here takes down a
-            // worker or the connection tier mid-request. The snapshot
-            // decoder runs inside a live server on every reload.
+            // worker or the connection tier mid-request. The stage, batch,
+            // LUT, CAM and scan-kernel files are the code engine infer
+            // calls. The snapshot decoder runs inside a live server on
+            // every reload.
             hot_path: s(&[
                 "crates/serve/src/scheduler.rs",
                 "crates/serve/src/engine.rs",
+                "crates/serve/src/stage.rs",
+                "crates/core/src/batch.rs",
+                "crates/core/src/infer.rs",
+                "crates/cam/src/analog.rs",
+                "crates/cam/src/lut.rs",
+                "crates/index/src/batch.rs",
                 "crates/serve/src/snapshot.rs",
                 "crates/serve/src/http/event_loop.rs",
                 "crates/obs/src/span.rs",

@@ -4,18 +4,21 @@
 //!
 //! * `cam_l1_search` — the original single-query linear-scan scaling in the
 //!   number of stored prototypes `p` and sub-vector width `d`;
-//! * `cam_search` — linear vs. indexed ([`PqTableIndex`]) vs. batched
-//!   ([`BatchScanner`]) engines from `pecan-index` on the same workload:
-//!   256 queries against `p ∈ {128, 512}` prototypes at `d = 32`, with the
-//!   prototypes either uniform (worst case for bucketing) or clustered
-//!   (the regime trained codebooks live in). Reported times are **per
-//!   batch**; all engines return identical winners, so every entry is
-//!   directly comparable. Medians also land in `target/bench/*.json` via
-//!   the criterion shim's sink for cross-PR regression tracking.
+//! * `cam_search` — the two `pecan-index` kernels on the same workload:
+//!   `single` ([`l1_argmin`] once per query) against `blocked`
+//!   ([`l1_argmin_batch`], the kernel serving runs). Shapes are the demo
+//!   engines' CAM groups — `p = 64, d = 9` (LeNet) and `p = 256, d = 8`
+//!   (MLP) — at `q ∈ {1, 8, 256}` queries per call; `q = 1` is one request
+//!   at batch 1, where the blocked kernel fills one of its
+//!   [`pecan_index::LANES`] lanes. Reported times are **per call**; both
+//!   kernels return identical winners (asserted before timing), so the
+//!   entries are directly comparable. Medians also land in
+//!   `target/bench/*.json` via the criterion shim's sink for cross-PR
+//!   regression tracking.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pecan_cam::AnalogCam;
-use pecan_index::{BatchScanner, LinearScan, PqTableIndex, PrototypeIndex};
+use pecan_index::{l1_argmin, l1_argmin_batch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -38,26 +41,6 @@ fn bench_cam_search(c: &mut Criterion) {
     group.finish();
 }
 
-/// `p` prototypes of width `d`: uniform noise, or samples around
-/// `clusters` centres like a trained codebook.
-fn prototypes(p: usize, d: usize, clusters: Option<usize>, rng: &mut StdRng) -> Vec<f32> {
-    match clusters {
-        None => (0..p * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-        Some(n) => {
-            let centres: Vec<f32> =
-                (0..n * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            (0..p)
-                .flat_map(|r| {
-                    let c = r % n;
-                    (0..d)
-                        .map(|k| centres[c * d + k] + rng.gen_range(-0.1f32..0.1))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        }
-    }
-}
-
 /// Queries near stored prototypes — im2col features cluster around the
 /// codebooks they were trained to match.
 fn queries_near(rows: &[f32], d: usize, q: usize, rng: &mut StdRng) -> Vec<f32> {
@@ -72,46 +55,31 @@ fn queries_near(rows: &[f32], d: usize, q: usize, rng: &mut StdRng) -> Vec<f32> 
         .collect()
 }
 
-fn bench_engines(c: &mut Criterion) {
+fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("cam_search");
     group.sample_size(30);
-    const D: usize = 32;
-    const Q: usize = 256;
 
-    for &p in &[128usize, 512] {
-        for (regime, clusters) in [("uniform", None), ("clustered", Some(p / 16))] {
-            let mut rng = StdRng::seed_from_u64(p as u64);
-            let rows = prototypes(p, D, clusters, &mut rng);
-            let queries = queries_near(&rows, D, Q, &mut rng);
+    for (p, d) in [(64usize, 9usize), (256, 8)] {
+        let mut rng = StdRng::seed_from_u64((p * 100 + d) as u64);
+        let rows: Vec<f32> = (0..p * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        for q in [1usize, 8, 256] {
+            let queries = queries_near(&rows, d, q, &mut rng);
+            let single = || -> Vec<(usize, f32)> {
+                queries.chunks_exact(d).map(|query| l1_argmin(&rows, d, query)).collect()
+            };
+            assert_eq!(l1_argmin_batch(&rows, d, &queries), single(), "p={p} d={d} q={q}");
 
-            let linear = LinearScan::new(rows.clone(), D).expect("linear");
-            let table = PqTableIndex::new(rows.clone(), D).expect("pq table");
-            let batch = BatchScanner::new(rows, D).expect("batch");
-            assert!(!table.is_exhaustive_fallback(), "p={p} should bucket");
-            let expect = linear.nearest_batch(&queries).expect("linear batch");
-            assert_eq!(table.nearest_batch(&queries).expect("table batch"), expect);
-            assert_eq!(batch.nearest_batch(&queries).expect("batch batch"), expect);
-
-            let param = format!("{regime}_p{p}_d{D}_q{Q}");
-            group.bench_with_input(
-                BenchmarkId::new("linear", &param),
-                &(),
-                |b, ()| b.iter(|| black_box(linear.nearest_batch(&queries).expect("scan"))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("pq_table", &param),
-                &(),
-                |b, ()| b.iter(|| black_box(table.nearest_batch(&queries).expect("probe"))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("batch", &param),
-                &(),
-                |b, ()| b.iter(|| black_box(batch.nearest_batch(&queries).expect("block"))),
-            );
+            let param = format!("p{p}_d{d}_q{q}");
+            group.bench_with_input(BenchmarkId::new("single", &param), &(), |b, ()| {
+                b.iter(|| black_box(single()))
+            });
+            group.bench_with_input(BenchmarkId::new("blocked", &param), &(), |b, ()| {
+                b.iter(|| black_box(l1_argmin_batch(&rows, d, &queries)))
+            });
         }
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_cam_search, bench_engines);
+criterion_group!(benches, bench_cam_search, bench_kernels);
 criterion_main!(benches);

@@ -73,8 +73,7 @@ impl AnalogCam {
 
     /// Finds the stored row with the smallest L1 distance to `query`
     /// (first index on ties). Runs on the shared `pecan-index` scan, so it
-    /// agrees bit-for-bit with [`AnalogCam::search_batch`] and the indexed
-    /// engines.
+    /// agrees bit-for-bit with [`AnalogCam::search_batch`].
     ///
     /// # Errors
     ///
@@ -116,32 +115,6 @@ impl AnalogCam {
             .into_iter()
             .map(|(row, dist)| SearchResult { row, score: -dist })
             .collect())
-    }
-
-    /// Searches a whole matrix of queries (`[d, cols]`, one query per
-    /// column, matching the im2col layout) and returns the winning row per
-    /// column. Delegates to the batched kernel of [`AnalogCam::search_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] on rank or width mismatch.
-    pub fn search_columns(&self, queries: &Tensor) -> Result<Vec<SearchResult>, ShapeError> {
-        queries.shape().expect_rank(2)?;
-        if queries.dims()[0] != self.width() {
-            return Err(ShapeError::new(format!(
-                "query dim {} does not match CAM width {}",
-                queries.dims()[0],
-                self.width()
-            )));
-        }
-        let (d, cols) = (self.width(), queries.dims()[1]);
-        let mut buf = vec![0.0f32; cols * d];
-        for i in 0..cols {
-            for k in 0..d {
-                buf[i * d + k] = queries.get2(k, i);
-            }
-        }
-        self.search_batch(&buf)
     }
 
     /// Searches `count` queries embedded in a larger column-major buffer:
@@ -289,19 +262,21 @@ impl DotProductCam {
         Ok(())
     }
 
-    /// Best-matching row by inner product.
+    /// Best-matching row by inner product: the first of tied maxima, and a
+    /// NaN score never beats a number (an all-NaN array answers row 0).
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] when `query.len() != d`.
     pub fn search(&self, query: &[f32]) -> Result<SearchResult, ShapeError> {
         let scores = self.scores(query)?;
-        let (row, &score) = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("scores are finite"))
-            .expect("array is non-empty");
-        Ok(SearchResult { row, score })
+        let mut best = SearchResult { row: 0, score: f32::NAN };
+        for (row, &score) in scores.iter().enumerate() {
+            if score > best.score || (best.score.is_nan() && !score.is_nan()) {
+                best = SearchResult { row, score };
+            }
+        }
+        Ok(best)
     }
 }
 
@@ -340,20 +315,6 @@ mod tests {
         let r = cam.search(&[1.0, 1.0]).unwrap();
         assert_eq!(r.row, 1);
         assert_eq!(r.score, 0.0);
-    }
-
-    #[test]
-    fn column_search_matches_single_search() {
-        let cam = cam_3x2();
-        let queries =
-            Tensor::from_vec(vec![0.1, 0.9, -1.5, -0.1, 0.8, 1.9], &[2, 3]).unwrap();
-        let rows: Vec<usize> = cam
-            .search_columns(&queries)
-            .unwrap()
-            .iter()
-            .map(|r| r.row)
-            .collect();
-        assert_eq!(rows, vec![0, 1, 2]);
     }
 
     #[test]
@@ -412,6 +373,22 @@ mod tests {
         cam.scores_into(&[2.0, 3.0], &mut buf).unwrap();
         assert_eq!(buf, s);
         assert!(cam.scores_into(&[2.0, 3.0], &mut [0.0; 3]).is_err());
+        // A NaN score loses to a number: row 0 scores 1 + 0·∞ = NaN.
+        let hit = cam.search(&[1.0, f32::INFINITY]).unwrap();
+        assert_eq!((hit.row, hit.score), (1, f32::INFINITY));
+
+        // Ties go to the first row, as in `AnalogCam` and the kernels.
+        let tied = DotProductCam::new(
+            Tensor::from_vec(vec![1.0, 0.0, 1.0, 0.0, 0.0, 1.0], &[3, 2]).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(tied.search(&[2.0, 0.5]).unwrap(), SearchResult { row: 0, score: 2.0 });
+        let hit = tied.search(&[f32::INFINITY, 1.0]).unwrap();
+        assert_eq!((hit.row, hit.score), (0, f32::INFINITY));
+        // All scores NaN: no panic, row 0.
+        let hit = tied.search(&[f32::NAN, 0.0]).unwrap();
+        assert_eq!(hit.row, 0);
+        assert!(hit.score.is_nan());
     }
 
     #[test]
@@ -420,7 +397,6 @@ mod tests {
         assert!(AnalogCam::new(Tensor::zeros(&[3])).is_err());
         let cam = cam_3x2();
         assert!(cam.search(&[1.0]).is_err());
-        assert!(cam.search_columns(&Tensor::zeros(&[3, 2])).is_err());
         assert!(DotProductCam::new(Tensor::zeros(&[2, 0])).is_err());
     }
 }

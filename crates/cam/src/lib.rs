@@ -17,13 +17,12 @@
 //! * [`fixed`] — an integer-only (int16 query / int32 accumulate) pipeline
 //!   demonstrating that PECAN-D needs no floating-point multiplier at all.
 //!
-//! Batch workloads ([`AnalogCam::search_batch`], [`fixed::FixedCam::search_batch`],
-//! [`AnalogCam::search_columns`] and the batch-first serving entry point
-//! [`AnalogCam::search_strided`], which reads each codebook group's
-//! queries straight out of a column-major `[features, batch]` activation
-//! buffer) run on the blocked scan kernel from [`pecan_index`], which also
-//! provides non-exhaustive indexed search over the same prototype arrays;
-//! all paths return identical winners.
+//! Batch workloads ([`AnalogCam::search_batch`], [`fixed::FixedCam::search_batch`]
+//! and the batch-first serving entry point [`AnalogCam::search_strided`],
+//! which reads each codebook group's queries straight out of a
+//! column-major `[features, batch]` activation buffer) run on the blocked
+//! scan kernel from [`pecan_index`]; the one-query searches run that
+//! crate's reference scan, and all paths return identical winners.
 //!
 //! # Example
 //!

@@ -2,7 +2,6 @@
 
 use pecan_cam::fixed::{FixedCam, Quantizer};
 use pecan_cam::{AnalogCam, CostModel, LookupTable, OpCounts};
-use pecan_index::{BatchScanner, LinearScan, PqTableIndex, PrototypeIndex};
 use pecan_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -68,24 +67,18 @@ proptest! {
         rows in matrix(24, 6),
         queries in proptest::collection::vec(-4.0f32..4.0, 6 * 11),
     ) {
-        // The pecan-index engines must agree with the CAM simulator's own
-        // search exactly: same winning rows, and scores that are the
+        // The pecan-index kernels must agree with the CAM simulator's own
+        // searches exactly: same winning rows, and scores that are the
         // negated distances bit-for-bit.
         let cam = AnalogCam::new(rows.clone()).unwrap();
-        let linear = LinearScan::from_tensor(&rows).unwrap();
-        let batch = BatchScanner::from_tensor(&rows).unwrap();
-        let table = PqTableIndex::from_tensor(&rows).unwrap();
         let batched = cam.search_batch(&queries).unwrap();
+        let kernel = pecan_index::l1_argmin_batch(rows.data(), 6, &queries);
         for (i, query) in queries.chunks_exact(6).enumerate() {
             let hit = cam.search(query).unwrap();
-            for engine in [
-                linear.nearest(query).unwrap(),
-                batch.nearest(query).unwrap(),
-                table.nearest(query).unwrap(),
-            ] {
-                prop_assert_eq!(engine.row, hit.row);
-                prop_assert_eq!(-engine.distance, hit.score);
-            }
+            let (row, distance) = pecan_index::l1_argmin(rows.data(), 6, query);
+            prop_assert_eq!(row, hit.row);
+            prop_assert_eq!(-distance, hit.score);
+            prop_assert_eq!(kernel[i], (row, distance));
             prop_assert_eq!(&batched[i], &hit);
         }
     }

@@ -4,7 +4,7 @@
 //! inference pipeline: **one contiguous column-major `[features, batch]`
 //! buffer** plus the per-sample shape it encodes. Keeping the whole batch
 //! in a single matrix is what lets consecutive table-lookup layers feed
-//! the lane-blocked `pecan-index` scanners wide column matrices instead of
+//! the lane-blocked `pecan-index` scan kernel wide column matrices instead of
 //! per-sample slivers — the PQ-DNN throughput recipe of PQA (Abouelhamayed
 //! et al., 2023) and PQTable (Matsui et al., 2017).
 //!

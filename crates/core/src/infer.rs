@@ -240,6 +240,8 @@ impl LayerLut {
         let mut noisy = Vec::with_capacity(self.analog.len());
         for cam in &self.analog {
             let rows = cam.rows().clone();
+            // analyze: allow(hot-path-panic) -- offline noise experiment
+            // only, never a serving path; the rows come from a valid CAM.
             noisy.push(
                 AnalogCam::with_noise(rows, sigma, rng)
                     .expect("existing CAM rows are valid"),

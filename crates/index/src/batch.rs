@@ -1,6 +1,3 @@
-use crate::{scan_rows, validate_rows, Match, PrototypeIndex};
-use pecan_tensor::{ShapeError, Tensor};
-
 /// Number of queries processed together by the blocked kernel.
 ///
 /// Eight `f32` lanes fill a 256-bit vector register; the accumulator array
@@ -60,21 +57,24 @@ impl L1Element for i16 {
 
 /// Exhaustive single-query L1 argmin over a flattened `[p, width]`
 /// prototype buffer: `(winning row, distance)`, first row winning ties,
-/// distances accumulated in ascending element order. This is **the** scan
-/// every engine in this crate and every `pecan-cam` search path shares —
-/// one copy is what makes their bit-identical agreement a local property
-/// rather than a cross-crate convention.
+/// distances accumulated in ascending element order. `pecan-cam`'s
+/// one-query searches run it, and it is the oracle [`l1_argmin_batch`] is
+/// tested against — one copy is what makes their bit-identical agreement a
+/// local property rather than a cross-crate convention.
 ///
 /// # Panics
 ///
 /// Panics when `width` is zero, `rows` is empty or not whole rows, or the
 /// query length is not `width`.
 pub fn l1_argmin<E: L1Element>(rows: &[E], width: usize, query: &[E]) -> (usize, E::Acc) {
+    // analyze: allow(hot-path-panic) -- caller bug: `AnalogCam` and
+    // `FixedCam` check these shapes and return a typed error first.
     assert!(width > 0, "width must be non-zero");
     assert!(
         !rows.is_empty() && rows.len() % width == 0,
         "prototype buffer must hold whole rows"
     );
+    // analyze: allow(hot-path-panic) -- caller bug, as above.
     assert!(query.len() == width, "query length must equal width");
     let mut best_row = 0usize;
     let mut best_dist = E::MAX_ACC;
@@ -104,19 +104,22 @@ pub fn l1_argmin<E: L1Element>(rows: &[E], width: usize, query: &[E]) -> (usize,
 /// # Panics
 ///
 /// Panics when `width` is zero, `rows` is empty or not whole rows, or
-/// `queries` is not whole queries. (The typed wrappers validate first and
-/// return [`ShapeError`] instead.)
+/// `queries` is not whole queries. (`AnalogCam` and `FixedCam` validate
+/// first and return a typed `ShapeError` instead.)
 pub fn l1_argmin_batch<E: L1Element>(
     rows: &[E],
     width: usize,
     queries: &[E],
 ) -> Vec<(usize, E::Acc)> {
     let _span = pecan_obs::span("index.scan");
+    // analyze: allow(hot-path-panic) -- caller bug: `AnalogCam` and
+    // `FixedCam` check these shapes and return a typed error first.
     assert!(width > 0, "width must be non-zero");
     assert!(
         !rows.is_empty() && rows.len() % width == 0,
         "prototype buffer must hold whole rows"
     );
+    // analyze: allow(hot-path-panic) -- caller bug, as above.
     assert!(queries.len() % width == 0, "query buffer must hold whole queries");
     let q = queries.len() / width;
     let mut out = Vec::with_capacity(q);
@@ -158,83 +161,9 @@ pub fn l1_argmin_batch<E: L1Element>(
     out
 }
 
-/// Batched exhaustive scanner: the [`l1_argmin_batch`] kernel behind the
-/// [`PrototypeIndex`] trait.
-///
-/// Scans every prototype like [`crate::LinearScan`] but amortizes each
-/// prototype-element load over [`LANES`] queries, so throughput on
-/// many-query workloads (im2col columns, serving batches) is several times
-/// the one-at-a-time scan while returning identical winners.
-#[derive(Debug, Clone)]
-pub struct BatchScanner {
-    rows: Vec<f32>,
-    entries: usize,
-    width: usize,
-}
-
-impl BatchScanner {
-    /// Builds the scanner over a flattened `[p, d]` row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `rows` is empty or not a whole number of
-    /// rows of `width`.
-    pub fn new(rows: Vec<f32>, width: usize) -> Result<Self, ShapeError> {
-        let entries = validate_rows(&rows, width)?;
-        Ok(Self { rows, entries, width })
-    }
-
-    /// Builds the scanner from a rank-2 `[p, d]` tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when `rows` is not a non-empty rank-2 tensor.
-    pub fn from_tensor(rows: &Tensor) -> Result<Self, ShapeError> {
-        rows.shape().expect_rank(2)?;
-        Self::new(rows.data().to_vec(), rows.dims()[1])
-    }
-}
-
-impl PrototypeIndex for BatchScanner {
-    fn entries(&self) -> usize {
-        self.entries
-    }
-
-    fn width(&self) -> usize {
-        self.width
-    }
-
-    fn nearest(&self, query: &[f32]) -> Result<Match, ShapeError> {
-        if query.len() != self.width {
-            return Err(ShapeError::new(format!(
-                "query width {} does not match index width {}",
-                query.len(),
-                self.width
-            )));
-        }
-        Ok(scan_rows(&self.rows, self.width, query))
-    }
-
-    fn nearest_batch(&self, queries: &[f32]) -> Result<Vec<Match>, ShapeError> {
-        let _span = pecan_obs::span("index.batch_scan");
-        if queries.len() % self.width != 0 {
-            return Err(ShapeError::new(format!(
-                "query buffer of {} is not a multiple of width {}",
-                queries.len(),
-                self.width
-            )));
-        }
-        Ok(l1_argmin_batch(&self.rows, self.width, queries)
-            .into_iter()
-            .map(|(row, distance)| Match { row, distance })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinearScan;
 
     fn pseudo(seed: &mut u64) -> f32 {
         // xorshift — keeps the test free of the rand dev-dependency cycle
@@ -244,19 +173,22 @@ mod tests {
         ((*seed >> 11) as f32 / (1u64 << 53) as f32) * 8.0 - 4.0
     }
 
+    /// The oracle: [`l1_argmin`] once per query.
+    fn singles<E: L1Element>(rows: &[E], width: usize, queries: &[E]) -> Vec<(usize, E::Acc)> {
+        queries.chunks_exact(width).map(|q| l1_argmin(rows, width, q)).collect()
+    }
+
     #[test]
     fn kernel_matches_linear_scan_across_block_sizes() {
         let mut seed = 7u64;
         let (p, d) = (13, 5);
         let rows: Vec<f32> = (0..p * d).map(|_| pseudo(&mut seed)).collect();
-        let linear = LinearScan::new(rows.clone(), d).unwrap();
-        let scanner = BatchScanner::new(rows, d).unwrap();
         // cover empty, sub-block, exact-block and ragged-tail batches
         for q in [0usize, 1, 7, 8, 9, 16, 27] {
             let queries: Vec<f32> = (0..q * d).map(|_| pseudo(&mut seed)).collect();
-            let expect = linear.nearest_batch(&queries).unwrap();
-            let got = scanner.nearest_batch(&queries).unwrap();
-            assert_eq!(got, expect, "q={q}");
+            let got = l1_argmin_batch(&rows, d, &queries);
+            assert_eq!(got.len(), q);
+            assert_eq!(got, singles(&rows, d, &queries), "q={q}");
         }
     }
 
@@ -266,25 +198,53 @@ mod tests {
         let queries: Vec<i16> = vec![1, -1, 9, 12, -6, 4];
         let got = l1_argmin_batch(&rows, 2, &queries);
         assert_eq!(got, vec![(0, 2), (1, 3), (2, 2)]);
+        assert_eq!(got, singles(&rows, 2, &queries));
+    }
+
+    #[test]
+    fn finds_nearest_and_breaks_ties_first() {
+        // rows 1 and 2 are identical: the first must win.
+        let rows = [5.0, 5.0, 1.0, 1.0, 1.0, 1.0];
+        let (row, dist) = l1_argmin(&rows, 2, &[1.2, 0.9]);
+        assert_eq!(row, 1);
+        assert!((dist - 0.3).abs() < 1e-6);
     }
 
     #[test]
     fn ties_break_to_first_row() {
         // rows 1 and 3 identical — row 1 must win in every lane
-        let rows = vec![9.0, 9.0, 1.0, 1.0, 5.0, 5.0, 1.0, 1.0];
-        let scanner = BatchScanner::new(rows, 2).unwrap();
-        let hits = scanner.nearest_batch(&[1.0, 1.0, 0.9, 1.1]).unwrap();
-        assert_eq!(hits[0].row, 1);
-        assert_eq!(hits[1].row, 1);
+        let rows = [9.0, 9.0, 1.0, 1.0, 5.0, 5.0, 1.0, 1.0];
+        let queries = [1.0, 1.0, 1.2, 0.9];
+        let hits = l1_argmin_batch(&rows, 2, &queries);
+        assert_eq!(hits, singles(&rows, 2, &queries));
+        assert_eq!(hits[0], (1, 0.0));
+        assert_eq!(hits[1].0, 1);
+    }
+
+    fn panics<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> bool {
+        std::panic::catch_unwind(f).is_err()
+    }
+
+    #[test]
+    fn rejects_bad_prototype_buffers() {
+        // width 0, no rows, a ragged last row: both kernels refuse each.
+        for (rows, width) in [(&[0.0f32; 6][..], 0), (&[][..], 3), (&[0.0; 4][..], 3)] {
+            assert!(panics(|| l1_argmin(rows, width, &vec![0.0; width])), "{rows:?}/{width}");
+            assert!(panics(|| l1_argmin_batch(rows, width, &[])), "{rows:?}/{width}");
+        }
+        // six values of width 3 are two rows; the second is an exact match
+        let rows = [0.0f32, 0.0, 0.0, 1.0, 1.0, 1.0];
+        assert_eq!(l1_argmin(&rows, 3, &[1.0; 3]), (1, 0.0));
+        assert_eq!(l1_argmin_batch(&rows, 3, &[1.0; 3]), vec![(1, 0.0)]);
     }
 
     #[test]
     fn validation() {
-        assert!(BatchScanner::new(vec![], 2).is_err());
-        assert!(BatchScanner::new(vec![0.0; 3], 2).is_err());
-        let s = BatchScanner::new(vec![0.0; 4], 2).unwrap();
-        assert!(s.nearest(&[0.0]).is_err());
-        assert!(s.nearest_batch(&[0.0; 5]).is_err());
-        assert_eq!(s.entries(), 2);
+        // The documented query-shape panics of both kernels.
+        assert!(panics(|| l1_argmin(&[0.0f32; 4], 2, &[0.0])));
+        assert!(panics(|| l1_argmin(&[0.0f32; 4], 2, &[0.0; 3])));
+        assert!(panics(|| l1_argmin_batch(&[0.0f32; 4], 2, &[0.0; 5])));
+        assert!(!panics(|| l1_argmin_batch(&[0.0f32; 4], 2, &[0.0; 4])));
+        assert!(l1_argmin_batch(&[0.0f32; 4], 2, &[]).is_empty());
     }
 }

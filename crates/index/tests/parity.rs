@@ -1,11 +1,10 @@
-//! Property tests proving the three search engines are interchangeable:
-//! [`PqTableIndex`] and [`BatchScanner`] must return **exactly** the same
-//! winners (rows and distances, bit-for-bit) as the exhaustive
-//! [`LinearScan`] across random prototypes, queries and PQ configurations.
+//! Property tests pinning the blocked kernel to its oracle:
+//! [`l1_argmin_batch`] must return **exactly** the winners (rows and
+//! distances, bit-for-bit) that [`l1_argmin`] finds one query at a time,
+//! across random prototypes and queries, exact ties, and both element
+//! types the CAMs use (`f32`, and `i16` accumulated in `i32`).
 
-use pecan_index::{
-    BatchScanner, LinearScan, PqTableConfig, PqTableIndex, PrototypeIndex,
-};
+use pecan_index::{l1_argmin, l1_argmin_batch, L1Element};
 use proptest::prelude::*;
 
 /// Flattened `[p, d]` prototypes plus a query-major `[q, d]` batch.
@@ -20,49 +19,27 @@ fn workload(
     )
 }
 
+/// The oracle: [`l1_argmin`] once per query.
+fn singles<E: L1Element>(rows: &[E], width: usize, queries: &[E]) -> Vec<(usize, E::Acc)> {
+    queries.chunks_exact(width).map(|q| l1_argmin(rows, width, q)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn batch_scanner_matches_linear_scan(
         (rows, queries) in workload(37, 6, 19),
+        // The fixed-point CAM's instantiation. A narrow range makes
+        // integer distances tie often, exercising the first-row rule.
+        int_rows in proptest::collection::vec(-8i16..8, 37 * 6),
+        int_queries in proptest::collection::vec(-8i16..8, 19 * 6),
     ) {
-        let linear = LinearScan::new(rows.clone(), 6).unwrap();
-        let batch = BatchScanner::new(rows, 6).unwrap();
-        let expect = linear.nearest_batch(&queries).unwrap();
-        let got = batch.nearest_batch(&queries).unwrap();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn pq_table_matches_linear_scan(
-        (rows, queries) in workload(48, 8, 12),
-    ) {
-        let linear = LinearScan::new(rows.clone(), 8).unwrap();
-        let table = PqTableIndex::new(rows, 8).unwrap();
-        let expect = linear.nearest_batch(&queries).unwrap();
-        let got = table.nearest_batch(&queries).unwrap();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn pq_table_matches_across_configs(
-        (rows, queries) in workload(40, 12, 8),
-        sub_spaces in prop::sample::select(vec![1usize, 2, 3, 4, 6]),
-        centroids in 2usize..12,
-        lloyd_iters in 1usize..6,
-    ) {
-        let linear = LinearScan::new(rows.clone(), 12).unwrap();
-        let cfg = PqTableConfig {
-            sub_spaces,
-            centroids,
-            lloyd_iters,
-            min_entries: 2,
-        };
-        let table = PqTableIndex::with_config(rows, 12, cfg).unwrap();
-        let expect = linear.nearest_batch(&queries).unwrap();
-        let got = table.nearest_batch(&queries).unwrap();
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(l1_argmin_batch(&rows, 6, &queries), singles(&rows, 6, &queries));
+        prop_assert_eq!(
+            l1_argmin_batch(&int_rows, 6, &int_queries),
+            singles(&int_rows, 6, &int_queries)
+        );
     }
 
     #[test]
@@ -72,20 +49,11 @@ proptest! {
         // duplicate every prototype so exact distance ties are guaranteed
         let mut rows = half.clone();
         rows.extend_from_slice(&half);
-        let linear = LinearScan::new(rows.clone(), 4).unwrap();
-        let batch = BatchScanner::new(rows.clone(), 4).unwrap();
-        let table = PqTableIndex::with_config(
-            rows,
-            4,
-            PqTableConfig { min_entries: 2, ..PqTableConfig::default() },
-        )
-        .unwrap();
-        let expect = linear.nearest_batch(&queries).unwrap();
-        prop_assert_eq!(batch.nearest_batch(&queries).unwrap(), expect.clone());
-        prop_assert_eq!(table.nearest_batch(&queries).unwrap(), expect.clone());
+        let expect = singles(&rows, 4, &queries);
+        prop_assert_eq!(l1_argmin_batch(&rows, 4, &queries), expect.clone());
         // every winner is in the first half (first-index tie-break)
-        for hit in &expect {
-            prop_assert!(hit.row < 16);
+        for &(row, _) in &expect {
+            prop_assert!(row < 16);
         }
     }
 
@@ -94,15 +62,8 @@ proptest! {
         (rows, _) in workload(24, 5, 1),
         pick in 0usize..24,
     ) {
-        let table = PqTableIndex::with_config(
-            rows.clone(),
-            5,
-            PqTableConfig { min_entries: 2, ..PqTableConfig::default() },
-        )
-        .unwrap();
-        let batch = BatchScanner::new(rows.clone(), 5).unwrap();
         let query = &rows[pick * 5..(pick + 1) * 5];
-        prop_assert_eq!(table.nearest(query).unwrap().distance, 0.0);
-        prop_assert_eq!(batch.nearest_batch(query).unwrap()[0].distance, 0.0);
+        prop_assert_eq!(l1_argmin(&rows, 5, query).1, 0.0);
+        prop_assert_eq!(l1_argmin_batch(&rows, 5, query)[0].1, 0.0);
     }
 }

@@ -14,7 +14,7 @@
 //! takes the whole batch as one column-major [`InferBatch`] matrix and
 //! every stage hands one matrix to the next — there is no per-sample
 //! split/rejoin anywhere between stages. That keeps the lane-blocked
-//! `pecan-index` scanners fed with matrices as wide as the batch through
+//! `pecan-index` scan kernel fed with matrices as wide as the batch through
 //! *consecutive* table-lookup layers, which is where PQ-DNN serving
 //! throughput comes from. Because every stage answers each column
 //! independently of its batch-mates, batched outputs are **bit-identical**

@@ -67,7 +67,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// `true` when this build carries the epoll event-loop front end
 /// (Linux on `x86_64` or `aarch64`). Everywhere else
@@ -370,7 +370,9 @@ impl Server {
 
     /// Graceful stop: refuse new connections, answer everything already
     /// in flight, drain every queued request of every model, join the
-    /// front end and scheduler workers. Idempotent.
+    /// front end and scheduler workers. Returns once those answers are
+    /// written (on the threaded front end, bounded by the read timeout).
+    /// Idempotent.
     pub fn stop(&self) {
         // ordering: Relaxed — the swap's atomicity alone makes stop
         // idempotent (exactly one caller sees `false`). Front ends don't
@@ -381,19 +383,38 @@ impl Server {
             return;
         }
         crate::log_info!("serve::http", "stopping", addr = self.local_addr);
-        match lock(&self.front).take() {
+        let threaded = match lock(&self.front).take() {
             Some(FrontEnd::Threaded(handle)) => {
                 // The accept loop blocks in `accept`; poke it so it
                 // observes the flag. Failure is fine — it means the
                 // listener is already gone.
                 let _ = TcpStream::connect(self.local_addr);
                 let _ = handle.join();
+                true
             }
             #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            Some(FrontEnd::Event(handle)) => handle.stop(),
-            None => {}
-        }
+            Some(FrontEnd::Event(handle)) => {
+                handle.stop();
+                false
+            }
+            None => false,
+        };
         self.shared.registry.shutdown();
+        if threaded {
+            // The drain hands the detached connection threads their
+            // answers; they write them after it returns. Wait until every
+            // counted request has its response counted (each write is
+            // bounded by the socket timeout), so a caller that exits
+            // right after `stop` drops none of them.
+            let deadline = Instant::now() + self.shared.read_timeout;
+            while Instant::now() < deadline {
+                let c = self.shared.conn_stats.snapshot();
+                if c.responses >= c.requests {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
 }
 

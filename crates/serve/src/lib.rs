@@ -9,7 +9,7 @@
 //!    column-major [`pecan_core::InferBatch`] matrix through a sequence of
 //!    [`Stage`]s (LUT conv, LUT linear, ReLU, pooling, flatten). No
 //!    per-sample split/rejoin happens between stages, so consecutive
-//!    table-lookup layers keep the lane-blocked `pecan-index` scanners fed
+//!    table-lookup layers keep the lane-blocked `pecan-index` scan kernel fed
 //!    with matrices as wide as the batch.
 //! 2. **[`FrozenEngine`]** — an immutable compiled inference plan:
 //!    per-layer [`pecan_core::LayerLut`]s and im2col geometry precomputed

@@ -6,7 +6,7 @@
 //! [`InferBatch`] column matrix, return the whole batch as one column
 //! matrix. Nothing between stages ever splits the batch into per-sample
 //! buffers, so consecutive table-lookup layers keep feeding the
-//! lane-blocked `pecan-index` scanners matrices as wide as the batch —
+//! lane-blocked `pecan-index` scan kernel matrices as wide as the batch —
 //! the cross-layer batch carrying that PQ-DNN throughput lives on.
 //!
 //! Stages are compiled against a fixed per-sample input shape by
