@@ -79,20 +79,20 @@ impl Config {
                 "crates/obs/src/span.rs",
                 "crates/tensor/src/gemm/kernel.rs",
             ]),
-            // The seqlock rings and histogram publish paths: every
-            // Relaxed here is a deliberate protocol decision and must
-            // name its pairing site.
+            // The seqlock ring, the span rings' pool and the histogram
+            // publish paths: every Relaxed here is a deliberate protocol
+            // decision and must name its pairing site.
             relaxed_audited: s(&[
+                "crates/obs/src/ring.rs",
                 "crates/obs/src/span.rs",
                 "crates/obs/src/hist.rs",
-                "crates/serve/src/obs/recorder.rs",
             ]),
             // Scheduler submit, engine infer, event-loop poll, span
-            // record, flight-recorder record: a panic here takes down a
-            // worker or the connection tier mid-request. The stage, batch,
-            // LUT, CAM and scan-kernel files are the code engine infer
-            // calls. The snapshot decoder runs inside a live server on
-            // every reload.
+            // record, ring push, flight-recorder record: a panic here
+            // takes down a worker or the connection tier mid-request.
+            // The stage, batch, LUT, CAM and scan-kernel files are the
+            // code engine infer calls. The snapshot decoder runs inside a
+            // live server on every reload.
             hot_path: s(&[
                 "crates/serve/src/scheduler.rs",
                 "crates/serve/src/engine.rs",
@@ -104,6 +104,7 @@ impl Config {
                 "crates/index/src/batch.rs",
                 "crates/serve/src/snapshot.rs",
                 "crates/serve/src/http/event_loop.rs",
+                "crates/obs/src/ring.rs",
                 "crates/obs/src/span.rs",
                 "crates/obs/src/hist.rs",
                 "crates/serve/src/obs/recorder.rs",

@@ -2,13 +2,14 @@
 //!
 //! Every compute crate in the workspace (tensor, index, cam, core,
 //! serve, bench) depends on this one, so it is deliberately std-only
-//! and tiny. It provides five things:
+//! and tiny. It provides six things:
 //!
-//! 1. **Span tracing** ([`span()`], [`span_with_id`], [`SpanGuard`]):
-//!    hierarchical wall/CPU/allocation-attributed regions recorded into
-//!    lock-free per-thread rings, behind a process-wide enable flag
-//!    ([`set_tracing`]) so disabled tracing costs one relaxed atomic
-//!    load. See [`span`](mod@crate::span) for the recording model.
+//! 1. **Span tracing** ([`span()`], [`span_with_id`], [`timed_span`],
+//!    [`SpanGuard`]): hierarchical wall/CPU/allocation-attributed
+//!    regions recorded into lock-free per-thread rings, behind a
+//!    process-wide enable flag ([`set_tracing`]) so disabled tracing
+//!    costs one relaxed atomic load; a timed span also feeds a
+//!    [`Histogram`]. See [`span`](mod@crate::span) for the model.
 //! 2. **Chrome trace export** ([`chrome`]): captures render as
 //!    Perfetto-compatible trace-event JSON via [`capture_window_json`]
 //!    (the `/debug/trace?ms=N` route) and [`dump_all_json`]
@@ -23,6 +24,8 @@
 //! 5. **Serving primitives hoisted from `pecan-serve`**: the lock-free
 //!    [`Histogram`] and the logfmt [`log`] macros, re-exported from
 //!    `pecan_serve::obs` unchanged so existing paths keep working.
+//! 6. **The seqlock ring** ([`SeqRing`]) behind both the span rings and
+//!    `pecan-serve`'s request flight recorder.
 //!
 //! ## Instrumenting code
 //!
@@ -46,6 +49,7 @@ pub mod chrome;
 pub mod clock;
 pub mod hist;
 pub mod log;
+pub mod ring;
 pub mod span;
 
 pub use alloc::{alloc_counts, PecanAlloc};
@@ -53,6 +57,7 @@ pub use chrome::{capture_window_json, dump_all_json};
 pub use clock::{thread_cpu_ns, thread_cpu_supported};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use log::Level;
+pub use ring::SeqRing;
 pub use span::{
-    now_ns, set_tracing, span, span_with_id, tracing_enabled, SpanGuard, SpanRecord,
+    now_ns, set_tracing, span, span_with_id, timed_span, tracing_enabled, SpanGuard, SpanRecord,
 };

@@ -8,7 +8,8 @@
 //! returns an inert guard and touches nothing else — no thread-local, no
 //! clock, no allocation. That single load is the entire cost the
 //! instrumented kernels (GEMM, index scans, im2col, the scheduler) pay
-//! in production.
+//! in production. A [`timed_span`] also reads the wall clock twice to
+//! feed its histogram, traced or not.
 //!
 //! # Recording model
 //!
@@ -20,20 +21,21 @@
 //! makes every exported capture balanced by construction — a span still
 //! open when a capture ends simply isn't in it.
 //!
-//! Rings are fixed-capacity ([`RING_EVENTS`] records, seqlock-published
-//! like `pecan-serve`'s flight recorder) and single-writer: each thread
-//! claims one on its first recorded span and returns it to a pool at
-//! thread exit, so short-lived worker threads (GEMM's scoped row workers)
-//! reuse rings instead of growing the registry per call. Readers
-//! ([`collect_spans`]) validate each slot's sequence word and skip
-//! records caught mid-write. Under wrap-around the oldest spans are
-//! overwritten — this is a flight recorder for profiling windows, not an
-//! audit log.
+//! Rings are fixed-capacity [`SeqRing`]s of [`RING_EVENTS`] records, the
+//! seqlock ring `pecan-serve`'s flight recorder also stores into, and
+//! single-writer: each thread claims one on its first recorded span and
+//! returns it to a pool at thread exit, so short-lived worker threads
+//! (GEMM's scoped row workers) reuse rings instead of growing the
+//! registry per call. Readers ([`collect_spans`]) skip records caught
+//! mid-write. Under wrap-around the oldest spans are overwritten — this
+//! is a flight recorder for profiling windows, not an audit log.
 
 use crate::alloc::alloc_counts;
 use crate::clock::thread_cpu_ns;
+use crate::hist::Histogram;
+use crate::ring::SeqRing;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -187,81 +189,15 @@ mod names {
     }
 }
 
-/// One ring slot: seqlock word + record words, exactly the publication
-/// protocol of `pecan-serve`'s `FlightRecorder` (odd while storing, even
-/// when consistent, 0 never written).
-#[derive(Default)]
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; WORDS],
-}
-
-/// A single-writer span ring. The owning thread is the only `push`er;
-/// any thread may read via [`ThreadRing::drain_consistent`].
+/// A single-writer span ring: the owning thread is the only pusher, any
+/// thread may read.
 struct ThreadRing {
     /// Stable export tid.
     id: u32,
     in_use: AtomicBool,
     /// Name of the thread currently (or last) writing here.
     label: Mutex<String>,
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl ThreadRing {
-    fn new(id: u32) -> Self {
-        Self {
-            id,
-            in_use: AtomicBool::new(true),
-            label: Mutex::new(String::new()),
-            head: AtomicU64::new(0),
-            slots: (0..RING_EVENTS).map(|_| Slot::default()).collect(),
-        }
-    }
-
-    fn push(&self, record: SpanRecord) {
-        // ordering: Relaxed — single-writer counter (only the owning
-        // thread pushes); readers take their snapshot of `head` in
-        // `drain_consistent` and validate each slot via `seq`, so the
-        // counter itself needs only atomicity.
-        let n = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(n % self.slots.len() as u64) as usize];
-        slot.seq.store(2 * n + 1, Ordering::Release);
-        // ordering: Relaxed — the word stores are fenced by the two
-        // Release stores of `seq` around them and pair with the Acquire
-        // loads of `seq` in `drain_consistent`: a reader that sees
-        // `2n + 2` before *and* after copying saw every word of record n.
-        for (dst, src) in slot.words.iter().zip(record.to_words()) {
-            dst.store(src, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * n + 2, Ordering::Release);
-    }
-
-    fn drain_consistent(&self, out: &mut Vec<SpanRecord>) {
-        // ordering: Relaxed — racy snapshot of the single-writer counter
-        // in `push`; a stale value only under-reads the newest records,
-        // and slot consistency is carried entirely by `seq` below.
-        let head = self.head.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        for n in head.saturating_sub(cap)..head {
-            let slot = &self.slots[(n % cap) as usize];
-            let before = slot.seq.load(Ordering::Acquire);
-            if before != 2 * n + 2 {
-                continue; // torn, lapped, or never written
-            }
-            let mut words = [0u64; WORDS];
-            // ordering: Relaxed — bracketed by the two Acquire loads of
-            // `seq` (before/after), pairing with `push`'s Release stores;
-            // if `seq` is unchanged across the copy, the words are from
-            // record n.
-            for (dst, src) in words.iter_mut().zip(slot.words.iter()) {
-                *dst = src.load(Ordering::Relaxed);
-            }
-            if slot.seq.load(Ordering::Acquire) == before {
-                out.push(SpanRecord::from_words(words));
-            }
-        }
-    }
+    records: SeqRing<WORDS>,
 }
 
 static REGISTRY: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
@@ -280,7 +216,12 @@ fn claim_ring() -> Option<Arc<ThreadRing>> {
             Arc::clone(free)
         }
         None if registry.len() < MAX_RINGS => {
-            let ring = Arc::new(ThreadRing::new(registry.len() as u32));
+            let ring = Arc::new(ThreadRing {
+                id: registry.len() as u32,
+                in_use: AtomicBool::new(true),
+                label: Mutex::new(String::new()),
+                records: SeqRing::new(RING_EVENTS),
+            });
             registry.push(Arc::clone(&ring));
             ring
         }
@@ -327,7 +268,7 @@ fn write_record(record: SpanRecord) {
             };
         }
         if let RingSlot::Ready(handle) = &*slot {
-            handle.0.push(record);
+            handle.0.records.push(record.to_words());
         }
     });
 }
@@ -343,16 +284,11 @@ pub fn collect_spans(since_ns: u64, until_ns: u64) -> Vec<(u32, String, Vec<Span
         .iter()
         .map(Arc::clone)
         .collect();
+    let window = |r: &SpanRecord| r.begin_ns >= since_ns && r.end_ns() <= until_ns;
     let mut out = Vec::with_capacity(rings.len());
-    let mut scratch = Vec::new();
     for ring in rings {
-        scratch.clear();
-        ring.drain_consistent(&mut scratch);
-        let records: Vec<SpanRecord> = scratch
-            .iter()
-            .filter(|r| r.begin_ns >= since_ns && r.end_ns() <= until_ns)
-            .copied()
-            .collect();
+        let records: Vec<SpanRecord> =
+            ring.records.read().into_iter().map(SpanRecord::from_words).filter(window).collect();
         if !records.is_empty() {
             let label =
                 ring.label.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
@@ -363,44 +299,46 @@ pub fn collect_spans(since_ns: u64, until_ns: u64) -> Vec<(u32, String, Vec<Span
     out
 }
 
-/// Data captured when a span opens; turned into a [`SpanRecord`] on drop.
+/// Data captured when a traced span opens; turned into a [`SpanRecord`]
+/// on drop.
+#[derive(Debug)]
 struct OpenSpan {
     name: &'static str,
     id: u64,
     depth: u32,
-    begin_ns: u64,
     begin_cpu: u64,
     begin_allocs: u64,
     begin_bytes: u64,
 }
 
-/// RAII guard for one traced region; records the span when dropped.
-/// Inert (a `None` payload) when tracing was off at construction.
+/// RAII guard for one measured region. On drop it records the span (if
+/// tracing was on when it opened) and feeds the wall time to its
+/// [`timed_span`] histogram (if it has one); otherwise it is inert.
+#[derive(Debug)]
 #[must_use = "a span measures the region until the guard drops"]
-pub struct SpanGuard {
+pub struct SpanGuard<'h> {
+    /// Region start, ns since the trace epoch; 0 (never read) for an
+    /// inert guard.
+    begin_ns: u64,
     open: Option<OpenSpan>,
-}
-
-impl std::fmt::Debug for SpanGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanGuard").field("active", &self.open.is_some()).finish()
-    }
+    hist: Option<&'h Histogram>,
 }
 
 /// Opens a span named `name` covering the region until the returned
 /// guard drops. Costs one relaxed atomic load when tracing is disabled.
 #[inline]
-pub fn span(name: &'static str) -> SpanGuard {
+pub fn span(name: &'static str) -> SpanGuard<'static> {
     span_with_id(name, 0)
 }
 
 /// [`span`] with a correlation id exported in the trace (`args.id`) —
 /// request spans carry the flight-recorder request id, scheduler batch
-/// spans the batch id, so trace timelines join against `/debug/requests`.
+/// spans the batch id, engine stage spans the layer index, so trace
+/// timelines join against `/debug/requests` and `/metrics`.
 #[inline]
-pub fn span_with_id(name: &'static str, id: u64) -> SpanGuard {
+pub fn span_with_id(name: &'static str, id: u64) -> SpanGuard<'static> {
     if !tracing_enabled() {
-        return SpanGuard { open: None };
+        return SpanGuard { begin_ns: 0, open: None, hist: None };
     }
     let depth = DEPTH.with(|d| {
         let v = d.get();
@@ -414,23 +352,47 @@ pub fn span_with_id(name: &'static str, id: u64) -> SpanGuard {
     let begin_ns = now_ns();
     let begin_cpu = thread_cpu_ns();
     SpanGuard {
-        open: Some(OpenSpan { name, id, depth, begin_ns, begin_cpu, begin_allocs, begin_bytes }),
+        begin_ns,
+        open: Some(OpenSpan { name, id, depth, begin_cpu, begin_allocs, begin_bytes }),
+        hist: None,
     }
 }
 
-impl Drop for SpanGuard {
+/// [`span_with_id`] that also records the region's wall time, in ns,
+/// into `hist` when the guard drops — with tracing on or off. One
+/// begin/end clock pair feeds both, so a traced span's `wall_ns` is the
+/// histogram sample. With tracing off it costs the flag load plus two
+/// clock reads and the histogram record.
+#[inline]
+pub fn timed_span<'h>(name: &'static str, id: u64, hist: &'h Histogram) -> SpanGuard<'h> {
+    let mut guard: SpanGuard<'h> = span_with_id(name, id);
+    if guard.open.is_none() {
+        guard.begin_ns = now_ns();
+    }
+    guard.hist = Some(hist);
+    guard
+}
+
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let Some(open) = self.open.take() else { return };
+        let Some(open) = self.open.take() else {
+            if let Some(hist) = self.hist {
+                hist.record(now_ns().saturating_sub(self.begin_ns));
+            }
+            return;
+        };
         let end_cpu = thread_cpu_ns();
-        let end_ns = now_ns();
+        let wall_ns = now_ns().saturating_sub(self.begin_ns);
+        if let Some(hist) = self.hist {
+            hist.record(wall_ns);
+        }
         let (allocs, bytes) = alloc_counts();
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let wall_ns = end_ns.saturating_sub(open.begin_ns);
         write_record(SpanRecord {
             name: open.name,
             id: open.id,
             depth: open.depth,
-            begin_ns: open.begin_ns,
+            begin_ns: self.begin_ns,
             wall_ns,
             // Clamped: the two clocks tick at different granularities, so
             // a tiny span could otherwise read cpu a hair above wall.

@@ -6,9 +6,10 @@
 //! become LUT stages (CAM prototypes + `W·C` product tables, line 3 of
 //! Algorithm 1, with conv im2col geometry resolved against the fixed input
 //! shape) and the plumbing layers become their batch-first counterparts.
-//! After compilation no locks, no RNG and no mutable state remain — all
-//! inference entry points take `&self`, so any number of scheduler workers
-//! can serve from one shared engine concurrently.
+//! After compilation no locks, no RNG and no mutable state remain beyond
+//! each stage's timing histogram (relaxed atomics) — all inference entry
+//! points take `&self`, so any number of scheduler workers can serve from
+//! one shared engine concurrently.
 //!
 //! The pipeline is **batch-first end to end**: [`FrozenEngine::infer`]
 //! takes the whole batch as one column-major [`InferBatch`] matrix and
@@ -28,7 +29,7 @@
 //! answer — same bits, one extra copy at each edge.
 
 use crate::error::ServeError;
-use crate::obs::StageObserver;
+use crate::obs::Histogram;
 use crate::stage::{
     FlattenStage, GlobalAvgPoolStage, LutConvStage, LutLinearStage, MaxPoolStage, ReluStage,
     Stage,
@@ -59,6 +60,8 @@ use pecan_nn::{Flatten, GlobalAvgPool, MaxPool2d, Relu, Sequential};
 #[derive(Debug)]
 pub struct FrozenEngine {
     pub(crate) stages: Vec<Box<dyn Stage>>,
+    /// Per-batch wall time of each stage, ns, indexed like `stages`.
+    times: Vec<Histogram>,
     pub(crate) input_shape: Vec<usize>,
     pub(crate) output_shape: Vec<usize>,
     pub(crate) name: Option<String>,
@@ -156,7 +159,8 @@ impl FrozenEngine {
                 ServeError::BadInput(format!("stage {i}: {e}"))
             })?;
         }
-        Ok(Self { stages, input_shape, output_shape: shape, name })
+        let times = stages.iter().map(|_| Histogram::new()).collect();
+        Ok(Self { stages, times, input_shape, output_shape: shape, name })
     }
 
     /// Rebuilds an engine from deserialized parts (snapshot loader),
@@ -231,34 +235,29 @@ impl FrozenEngine {
             .sum()
     }
 
+    /// Each stage's kind ([`Stage::name`]) and its per-batch wall-time
+    /// histogram in ns, in pipeline order: entry `i` is layer `i`. Every
+    /// [`FrozenEngine::infer`] records one sample per stage it runs;
+    /// `/metrics` exports them as `pecan_stage_latency_seconds`.
+    pub fn stage_times(&self) -> Vec<(&'static str, &Histogram)> {
+        self.stages.iter().map(|s| s.name()).zip(&self.times).collect()
+    }
+
     /// The batch-first inference entry point: runs the whole batch as
     /// **one** [`InferBatch`] column matrix through every stage. The batch
     /// must carry `input_len()` features per column, shaped either as the
     /// engine's exact `input_shape()` or flat `[input_len()]` (requests
     /// arrive flat off the wire).
     ///
+    /// Each stage runs inside one [`pecan_obs::timed_span`]
+    /// (`stage.<kind>`, id = layer index), whose clock pair feeds both the
+    /// layer's [`FrozenEngine::stage_times`] histogram and the span.
+    ///
     /// # Errors
     ///
     /// [`ServeError::BadInput`] when the batch's per-sample shape does not
     /// fit the engine.
     pub fn infer(&self, batch: InferBatch) -> Result<InferBatch, ServeError> {
-        self.infer_observed(batch, None)
-    }
-
-    /// As [`FrozenEngine::infer`], optionally reporting each stage's wall
-    /// time to a [`StageObserver`] (keyed by [`Stage::name`]). With
-    /// `obs = None` this **is** `infer` — the per-stage clock is only
-    /// read when an observer asks for it, so the unobserved path pays
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// As for [`FrozenEngine::infer`].
-    pub fn infer_observed(
-        &self,
-        batch: InferBatch,
-        obs: Option<&dyn StageObserver>,
-    ) -> Result<InferBatch, ServeError> {
         let mut b = if batch.sample_shape() == self.input_shape {
             batch
         } else if batch.sample_shape() == [self.input_len()] {
@@ -270,36 +269,12 @@ impl FrozenEngine {
                 self.input_shape
             )));
         };
-        match obs {
-            None => {
-                for stage in &self.stages {
-                    let _span = pecan_obs::span(stage_span_name(stage.name()));
-                    b = stage.run(b, None)?;
-                }
-            }
-            Some(obs) => {
-                for stage in &self.stages {
-                    let _span = pecan_obs::span(stage_span_name(stage.name()));
-                    let started = std::time::Instant::now();
-                    b = stage.run(b, None)?;
-                    obs.record_stage(stage.name(), started.elapsed().as_nanos() as u64);
-                }
-            }
+        for (layer, (stage, hist)) in self.stages.iter().zip(&self.times).enumerate() {
+            let _span = pecan_obs::timed_span(stage_span_name(stage.name()), layer as u64, hist);
+            b = stage.run(b, None)?;
         }
         debug_assert_eq!(b.sample_shape(), self.output_shape);
         Ok(b)
-    }
-
-    /// Distinct stage kinds in pipeline order (duplicates collapsed) —
-    /// the label set of the engine's per-stage latency histograms.
-    pub fn stage_kinds(&self) -> Vec<&'static str> {
-        let mut kinds: Vec<&'static str> = Vec::new();
-        for stage in &self.stages {
-            if !kinds.contains(&stage.name()) {
-                kinds.push(stage.name());
-            }
-        }
-        kinds
     }
 
     /// Serves one request. Exactly equivalent to a batch of one.
@@ -336,22 +311,6 @@ impl FrozenEngine {
     /// [`ServeError::BadInput`] when any input has the wrong length. An
     /// empty batch returns an empty vector.
     pub fn predict_batch(&self, inputs: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.predict_batch_observed(inputs, None)
-    }
-
-    /// As [`FrozenEngine::predict_batch`], optionally reporting per-stage
-    /// wall time to `obs` — the scheduler's workers call this with their
-    /// model's `ServeStats` so `/metrics` can break serving latency down
-    /// by stage kind.
-    ///
-    /// # Errors
-    ///
-    /// As for [`FrozenEngine::predict_batch`].
-    pub fn predict_batch_observed(
-        &self,
-        inputs: &[Vec<f32>],
-        obs: Option<&dyn StageObserver>,
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
         let want = self.input_len();
         for (i, x) in inputs.iter().enumerate() {
             if x.len() != want {
@@ -365,7 +324,7 @@ impl FrozenEngine {
             return Ok(Vec::new());
         }
         let batch = InferBatch::from_samples(inputs, &self.input_shape)?;
-        Ok(self.infer_observed(batch, obs)?.into_samples())
+        Ok(self.infer(batch)?.into_samples())
     }
 }
 
@@ -452,22 +411,6 @@ mod tests {
         assert_eq!(a.sample_shape(), engine.output_shape());
         let bad = pecan_core::InferBatch::zeros(&[2, 392], 1).unwrap();
         assert!(matches!(engine.infer(bad), Err(ServeError::BadInput(_))));
-    }
-
-    #[test]
-    fn observed_inference_times_every_stage_and_keeps_bits() {
-        let engine = crate::demo::lenet_engine(5);
-        let kinds = engine.stage_kinds();
-        assert!(kinds.contains(&"lut-conv"), "kinds: {kinds:?}");
-        let stats = crate::ServeStats::with_stages(&kinds);
-        let input = vec![0.5; engine.input_len()];
-        let observed =
-            engine.predict_batch_observed(std::slice::from_ref(&input), Some(&stats)).unwrap();
-        // Observation is pure accounting — bits are identical.
-        assert_eq!(observed[0], engine.predict(&input).unwrap());
-        for (kind, h) in stats.stage_histograms() {
-            assert!(h.count() >= 1, "stage {kind} never recorded");
-        }
     }
 
     #[test]

@@ -615,8 +615,9 @@ fn reload_route(shared: &HttpShared, model: Option<&str>) -> (u16, String) {
 
 /// Renders every counter, gauge and distribution as one Prometheus text
 /// exposition page: per-model request counters and latency/batch-size
-/// histograms (with p50/p90/p99/p999 gauges derived from them),
-/// per-stage wall-time histograms, and the connection-tier counters.
+/// histograms (with p50/p90/p99/p999 gauges derived from them), the
+/// served engine's per-layer stage wall-time histograms, and the
+/// connection-tier counters.
 /// Served by `GET /metrics` on both front ends.
 fn metrics(shared: &HttpShared) -> String {
     let entries = shared.registry.entries();
@@ -675,12 +676,14 @@ fn metrics(shared: &HttpShared) -> String {
         }
     }
 
-    page.family("pecan_stage_latency_seconds", PromKind::Histogram, "Per-batch wall time by pipeline stage kind.");
-    for (model, stats, _) in &models {
-        for (stage, hist) in stats.stage_histograms() {
+    page.family("pecan_stage_latency_seconds", PromKind::Histogram, "Per-batch wall time of each pipeline stage (layer) of the engine version being served.");
+    for (entry, (model, _, _)) in entries.iter().zip(&models) {
+        let runner = entry.runner();
+        for (layer, (stage, hist)) in runner.stage_times().into_iter().enumerate() {
+            let layer = layer.to_string();
             page.histogram(
                 "pecan_stage_latency_seconds",
-                &[("model", model), ("stage", stage)],
+                &[("model", model), ("layer", &layer), ("stage", stage)],
                 &hist.snapshot(),
                 1e-9,
             );

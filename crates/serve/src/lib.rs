@@ -53,11 +53,13 @@
 //!    `"connections"` key of `/stats`).
 //! 6. **Observability** ([`obs`]) — lock-free instruments on the hot
 //!    path: log-bucketed latency [`Histogram`]s (queue / inference /
-//!    total and batch size per model, plus per-stage wall time through
-//!    [`StageObserver`]), a bounded [`FlightRecorder`] holding the
-//!    newest request spans (`GET /debug/requests`), a `PECAN_LOG`-leveled
-//!    logfmt stderr logger, and a Prometheus text exposition at
-//!    `GET /metrics` served identically by both front ends.
+//!    total and batch size per model, plus each engine's per-layer stage
+//!    wall time, [`FrozenEngine::stage_times`], fed by the same
+//!    [`pecan_obs::timed_span`] that traces the stage), a bounded
+//!    [`FlightRecorder`] holding the newest request spans
+//!    (`GET /debug/requests`), a `PECAN_LOG`-leveled logfmt stderr
+//!    logger, and a Prometheus text exposition at `GET /metrics` served
+//!    identically by both front ends.
 //!
 //! # Quickstart
 //!
@@ -111,7 +113,7 @@ pub use error::{ServeError, SnapshotError};
 pub use http::parser::{ParseError, Request, RequestParser};
 pub use http::{event_loop_supported, Server, ServerConfig};
 pub use mapped::mmap_supported;
-pub use obs::{FlightRecorder, Histogram, HistogramSnapshot, StageObserver, TraceRecord};
+pub use obs::{FlightRecorder, Histogram, HistogramSnapshot, TraceRecord};
 // The logfmt macros moved to `pecan-obs` with the histogram; re-exported
 // so `pecan_serve::log_error!` / `crate::log_warn!` call sites compile
 // exactly as before the hoist.

@@ -1,30 +1,22 @@
-//! Serving observability: per-stage timing, a request flight recorder,
-//! and Prometheus text export, on top of the workspace-wide substrate
-//! in [`pecan_obs`].
+//! Serving observability: a request flight recorder and Prometheus text
+//! export, on top of the workspace-wide substrate in [`pecan_obs`].
 //!
-//! The general-purpose primitives — the lock-free log-bucketed
-//! [`Histogram`] and the `PECAN_LOG`-leveled logfmt [`log`] macros —
-//! started life in this module and now live in [`pecan_obs`] so every
-//! compute crate (tensor, index, core) can share them and the span
-//! tracer. They are re-exported here unchanged ([`hist`], [`log`],
-//! [`Histogram`], [`HistogramSnapshot`], [`Level`]), so existing
-//! `pecan_serve::obs::…` paths keep working; the
+//! The general-purpose primitives live in [`pecan_obs`] and are
+//! re-exported here ([`hist`], [`log`], [`Histogram`],
+//! [`HistogramSnapshot`], [`Level`]); the
 //! [`log_error!`](crate::log_error) … [`log_trace!`](crate::log_trace)
-//! macros are likewise re-exported at the crate root.
+//! macros are re-exported at the crate root. Serve-only:
 //!
-//! What remains serve-only is the serving-shaped instrumentation:
-//!
-//! - [`recorder`] — seqlock ring-buffer [`FlightRecorder`] keeping the
-//!   newest N per-request [`TraceRecord`] spans, dumped by
-//!   `/debug/requests`. Its request ids double as the `args.id` of
-//!   `serve.request` spans in `/debug/trace` captures, joining the two
-//!   views.
+//! - [`recorder`] — [`FlightRecorder`] keeping the newest N
+//!   per-request [`TraceRecord`] spans in a [`pecan_obs::SeqRing`] (the
+//!   seqlock ring the span tracer uses), dumped by `/debug/requests`.
+//!   Its request ids double as the `args.id` of `serve.request` spans in
+//!   `/debug/trace` captures, joining the two views.
 //! - [`metrics`] — [`PromText`](metrics::PromText) renders every
 //!   counter, gauge and histogram in Prometheus text exposition format
-//!   for the `/metrics` route served by both front ends.
-//! - [`StageObserver`] — the per-stage wall-time sink threaded through
-//!   [`crate::FrozenEngine::infer_observed`], implemented by
-//!   [`crate::ServeStats`] with named per-stage histograms.
+//!   for the `/metrics` route served by both front ends, including the
+//!   per-layer stage times each engine records through
+//!   [`pecan_obs::timed_span`] ([`crate::FrozenEngine::stage_times`]).
 //!
 //! Everything on the hot path stays std-only and allocation-free.
 
@@ -36,15 +28,3 @@ pub mod recorder;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use log::Level;
 pub use recorder::{FlightRecorder, TraceRecord, NO_MODEL};
-
-/// Sink for per-stage wall time inside an engine's inference loop.
-///
-/// [`crate::FrozenEngine::infer_observed`] calls `record_stage` once per
-/// stage per batch with the stage's kind name (e.g. `"lut-conv"`) and
-/// its wall time. Implementations must be cheap and lock-free — the call
-/// sits on the inference hot path. [`crate::ServeStats`] implements this
-/// by recording into its named per-stage histograms.
-pub trait StageObserver: Send + Sync {
-    /// Accounts `wall_ns` nanoseconds of work to the stage kind `stage`.
-    fn record_stage(&self, stage: &'static str, wall_ns: u64);
-}

@@ -19,8 +19,10 @@
 //! `POST /models/{name}/reload`). The swap is blue/green:
 //!
 //! 1. a fresh [`BatchScheduler`] is started over the replacement engine,
-//!    recording into the **same** stats store (counters and histograms
-//!    continue across versions);
+//!    recording into the **same** stats store (request counters and
+//!    latency/batch-size histograms continue across versions; per-layer
+//!    stage times belong to each engine and restart with it, since a
+//!    reload may change the architecture);
 //! 2. the entry's current-version pointer is atomically swapped to it —
 //!    new submissions land on the new engine from this instant;
 //! 3. the retiring scheduler drains on a background thread: its
@@ -129,7 +131,7 @@ impl std::fmt::Debug for ModelEntry {
 
 impl ModelEntry {
     fn start(name: String, runner: Arc<dyn BatchRunner>, config: SchedulerConfig) -> Self {
-        let stats = Arc::new(ServeStats::with_stages(&runner.stage_kinds()));
+        let stats = Arc::new(ServeStats::new());
         let scheduler = BatchScheduler::start_with_stats(
             Arc::clone(&runner),
             config.clone(),
@@ -165,7 +167,8 @@ impl ModelEntry {
         Arc::clone(&read(&self.current).runner)
     }
 
-    /// Live counters (shared across engine versions).
+    /// Live counters (shared across engine versions; stage times are
+    /// per runner, [`BatchRunner::stage_times`]).
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
     }

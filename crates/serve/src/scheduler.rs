@@ -28,7 +28,7 @@
 //! engine.
 
 use crate::error::ServeError;
-use crate::obs::StageObserver;
+use crate::obs::Histogram;
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::FrozenEngine;
 use std::collections::VecDeque;
@@ -55,27 +55,11 @@ pub trait BatchRunner: Send + Sync + 'static {
     /// request of the failed batch.
     fn run_batch(&self, inputs: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, ServeError>;
 
-    /// Distinct stage kinds this runner executes, in pipeline order —
-    /// the scheduler sizes its per-stage latency histograms from this.
-    /// The default (no stages) disables per-stage timing.
-    fn stage_kinds(&self) -> Vec<&'static str> {
+    /// Each stage's kind and per-batch wall-time histogram (ns), in
+    /// pipeline order — the per-layer series `/metrics` exports. Empty
+    /// by default, for runners without stages such as test doubles.
+    fn stage_times(&self) -> Vec<(&'static str, &Histogram)> {
         Vec::new()
-    }
-
-    /// As [`BatchRunner::run_batch`], optionally reporting per-stage
-    /// wall time to `obs`. The default ignores the observer, so plain
-    /// runners (and test doubles) need not care.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BatchRunner::run_batch`].
-    fn run_batch_observed(
-        &self,
-        inputs: &[Vec<f32>],
-        obs: Option<&dyn StageObserver>,
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        let _ = obs;
-        self.run_batch(inputs)
     }
 }
 
@@ -89,15 +73,8 @@ impl BatchRunner for FrozenEngine {
     fn run_batch(&self, inputs: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, ServeError> {
         self.predict_batch(inputs)
     }
-    fn stage_kinds(&self) -> Vec<&'static str> {
-        FrozenEngine::stage_kinds(self)
-    }
-    fn run_batch_observed(
-        &self,
-        inputs: &[Vec<f32>],
-        obs: Option<&dyn StageObserver>,
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.predict_batch_observed(inputs, obs)
+    fn stage_times(&self) -> Vec<(&'static str, &Histogram)> {
+        FrozenEngine::stage_times(self)
     }
 }
 
@@ -237,8 +214,7 @@ impl BatchScheduler {
     /// Invalid knobs are clamped to sane floors (`max_batch`, `workers`,
     /// `queue_capacity` ≥ 1) rather than rejected.
     pub fn start(runner: Arc<dyn BatchRunner>, config: SchedulerConfig) -> Self {
-        let stats = Arc::new(ServeStats::with_stages(&runner.stage_kinds()));
-        Self::start_with_stats(runner, config, stats)
+        Self::start_with_stats(runner, config, Arc::default())
     }
 
     /// As [`BatchScheduler::start`], recording into an existing stats
@@ -521,7 +497,7 @@ fn worker_loop(shared: &Shared) {
         // would hang forever. Contain it and answer the batch with an
         // error instead.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.runner.run_batch_observed(&inputs, Some(shared.stats.as_ref()))
+            shared.runner.run_batch(&inputs)
         }))
         .unwrap_or_else(|_| {
             crate::log_error!(

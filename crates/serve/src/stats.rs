@@ -2,7 +2,7 @@
 //! across scheduler workers, exported by the HTTP front end's `/stats`
 //! and (with full distributions) by `/metrics`.
 
-use crate::obs::{Histogram, StageObserver};
+use crate::obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters plus latency/batch-size [`Histogram`]s, updated by
@@ -10,9 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// to account a request.
 ///
 /// The histograms record in nanoseconds (latencies) and requests
-/// (batch size); `stage_histograms` carries one histogram per stage
-/// *kind* of the model's pipeline (fed through the [`StageObserver`]
-/// impl from inside `FrozenEngine::infer_observed`).
+/// (batch size). Per-stage wall time lives with the engine that ran it
+/// (`FrozenEngine::stage_times`), not here.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     submitted: AtomicU64,
@@ -28,20 +27,12 @@ pub struct ServeStats {
     queue: Histogram,
     infer: Histogram,
     batch_size: Histogram,
-    stages: Vec<(&'static str, Histogram)>,
 }
 
 impl ServeStats {
-    /// Fresh, all-zero counters with no per-stage histograms.
+    /// Fresh, all-zero counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fresh counters with one named histogram per stage kind (duplicate
-    /// kinds share one histogram slot upstream, so `kinds` is expected
-    /// deduplicated — see `FrozenEngine::stage_kinds`).
-    pub fn with_stages(kinds: &[&'static str]) -> Self {
-        Self { stages: kinds.iter().map(|k| (*k, Histogram::new())).collect(), ..Self::default() }
     }
 
     pub(crate) fn record_submitted(&self) {
@@ -95,12 +86,6 @@ impl ServeStats {
         &self.batch_size
     }
 
-    /// Per-stage wall-time histograms, nanoseconds per batch, keyed by
-    /// stage kind. Empty unless built with [`ServeStats::with_stages`].
-    pub fn stage_histograms(&self) -> &[(&'static str, Histogram)] {
-        &self.stages
-    }
-
     /// Coherent-enough point-in-time copy of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         let completed = self.completed.load(Ordering::Relaxed);
@@ -121,16 +106,6 @@ impl ServeStats {
             p90_latency_us: latency.quantile(0.90) / 1_000,
             p99_latency_us: latency.quantile(0.99) / 1_000,
             p999_latency_us: latency.quantile(0.999) / 1_000,
-        }
-    }
-}
-
-impl StageObserver for ServeStats {
-    fn record_stage(&self, stage: &'static str, wall_ns: u64) {
-        // Linear scan: pipelines have a handful of stage kinds, and a
-        // lookup table would cost more than the compare loop.
-        if let Some((_, h)) = self.stages.iter().find(|(k, _)| *k == stage) {
-            h.record(wall_ns);
         }
     }
 }
@@ -438,16 +413,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_ids_count_from_one_and_stage_histograms_record() {
-        let stats = ServeStats::with_stages(&["lut-conv", "relu"]);
+    fn batch_ids_count_from_one() {
+        let stats = ServeStats::new();
         assert_eq!(stats.record_batch(3), 1);
         assert_eq!(stats.record_batch(1), 2);
         assert_eq!(stats.batch_size_histogram().count(), 2);
-        stats.record_stage("lut-conv", 500);
-        stats.record_stage("unknown", 500); // silently ignored
-        let stages = stats.stage_histograms();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].1.count(), 1);
-        assert_eq!(stages[1].1.count(), 0);
     }
 }

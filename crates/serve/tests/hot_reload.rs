@@ -12,7 +12,8 @@
 //! loop thread — see `docs/serving-ops.md`.)
 
 use pecan_serve::client::HttpClient;
-use pecan_serve::{demo, EngineRegistry, LoadMode, SchedulerConfig, Server, ServerConfig};
+use pecan_serve::obs::metrics::find_sample;
+use pecan_serve::{demo, json, EngineRegistry, LoadMode, SchedulerConfig, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -188,6 +189,46 @@ fn event_loop_front_end_serves_reload_too() {
     assert!(body.contains("\"version\":2"), "{body}");
     let entry = server.registry().resolve(Some("ev")).unwrap();
     assert_eq!(entry.version(), 2);
+    server.stop();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reload_across_architectures_times_every_layer_of_the_new_engine() {
+    let dir = tmp_dir("hot-reload-arch");
+    let path = dir.join("m.psnp");
+    demo::mlp_engine(8).save_snapshot(&path).unwrap();
+    let registry = EngineRegistry::new();
+    registry.register_file("m", &path, LoadMode::Copy, SchedulerConfig::default()).unwrap();
+    let server = Server::start_registry(registry, ServerConfig::default()).expect("server starts");
+    let mut client = HttpClient::connect(server.local_addr()).expect("connect");
+    let mut call = |method, path, body: &str| client.call(method, path, body).expect("call");
+    let predict = |len| json::format_f32_array(&vec![0.5; len]);
+    assert_eq!(call("POST", "/models/m/predict", &predict(demo::MLP_INPUT)).0, 200);
+
+    // Same name, new architecture: the MLP becomes LeNet.
+    demo::lenet_engine(8).save_snapshot(&path).unwrap();
+    assert_eq!(call("POST", "/models/m/reload", "").0, 200);
+    let entry = server.registry().resolve(Some("m")).unwrap();
+    let batches_before = entry.stats().batches;
+    for _ in 0..3 {
+        assert_eq!(call("POST", "/models/m/predict", &predict(784)).0, 200);
+    }
+    let since_reload = Some((entry.stats().batches - batches_before) as f64);
+    let (_, metrics) = call("GET", "/metrics", "");
+
+    // Counters carry across the reload; the per-layer series describe
+    // the engine now serving, every one of its twelve layers.
+    assert_eq!(find_sample(&metrics, "pecan_batches_total", &[("model", "m")]), Some(4.0));
+    let kinds = "lut-conv relu max-pool lut-conv relu max-pool flatten \
+                 lut-linear relu lut-linear relu lut-linear";
+    for (layer, stage) in kinds.split_whitespace().enumerate() {
+        let layer = layer.to_string();
+        let labels = [("model", "m"), ("layer", layer.as_str()), ("stage", stage)];
+        let count = find_sample(&metrics, "pecan_stage_latency_seconds_count", &labels);
+        assert_eq!(count, since_reload, "layer {layer} ({stage}) in:\n{metrics}");
+    }
+    assert!(!metrics.contains("layer=\"12\""), "LeNet has twelve layers");
     server.stop();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,8 +1,9 @@
 //! End-to-end observability battery over real TCP, both front ends:
 //! `/metrics` is valid Prometheus text exposition whose numbers agree
-//! with `/stats`, `/debug/requests` replays recent request spans, and the
+//! with `/stats`, `/debug/requests` replays recent request spans, the
 //! threaded front end maintains the same connection-state gauges the
-//! event loop does (the historical gap this PR closes).
+//! event loop does, and each engine stage's span and layer histogram read
+//! one clock.
 
 use pecan_serve::client::HttpClient;
 use pecan_serve::obs::metrics::find_sample;
@@ -13,6 +14,9 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Tracing is process-wide: tests that switch it take turns.
+static TRACING: Mutex<()> = Mutex::new(());
 
 fn front_end_flags() -> Vec<bool> {
     if pecan_serve::event_loop_supported() {
@@ -178,16 +182,17 @@ fn metrics_exposition_is_valid_and_agrees_with_stats() {
             );
         }
 
-        // Per-stage timing: the demo MLP runs lut-linear and relu stages.
-        for stage in ["lut-linear", "relu"] {
-            assert!(
-                sample(
-                    "pecan_stage_latency_seconds_count",
-                    &[("model", "mlp"), ("stage", stage)],
-                ) >= 1.0,
-                "stage {stage} never timed"
-            );
+        // Per-layer timing: each of the MLP's five stages is timed once
+        // per batch.
+        let batches = sample("pecan_batches_total", &[("model", "mlp")]);
+        let kinds = ["lut-linear", "relu", "lut-linear", "relu", "lut-linear"];
+        for (layer, stage) in kinds.into_iter().enumerate() {
+            let layer = layer.to_string();
+            let labels = [("model", "mlp"), ("layer", layer.as_str()), ("stage", stage)];
+            let count = sample("pecan_stage_latency_seconds_count", &labels);
+            assert_eq!(count, batches, "layer {layer} ({stage}) not timed once per batch");
         }
+        assert_eq!(find_sample(&metrics, "pecan_stage_latency_seconds_count", &[("layer", "5")]), None);
 
         // Quantile gauges for dashboards that don't do histogram math.
         for q in ["0.5", "0.9", "0.99", "0.999"] {
@@ -280,6 +285,7 @@ fn debug_requests_replays_recent_spans() {
 /// also proves the loop keeps answering while a capture is in flight.
 #[test]
 fn debug_trace_captures_spans_on_both_front_ends() {
+    let _turn = TRACING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     for event_loop in front_end_flags() {
         let engine = Arc::new(demo::mlp_engine(81));
         let server = Server::start(
@@ -422,4 +428,34 @@ fn threaded_front_end_maintains_connection_gauges() {
         st.handling == 0 && st.writing == 0 && st.inflight == 0 && st.active <= 1
     });
     server.stop();
+}
+
+/// Each engine stage is timed at one site: its `stage.*` span carries the
+/// layer index as its id, and its wall time is exactly the sample in that
+/// layer's histogram.
+#[test]
+fn infer_times_each_layer_once_on_one_clock() {
+    let _turn = TRACING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let engine = demo::lenet_engine(5);
+    pecan_obs::set_tracing(true);
+    // Claims this thread's ring: from here on only this thread writes it.
+    drop(pecan_obs::span("test.one_clock"));
+    let t0 = pecan_obs::now_ns();
+    engine.predict(&vec![0.5; engine.input_len()]).unwrap();
+    pecan_obs::set_tracing(false);
+    let (_, _, ours) = pecan_obs::span::collect_spans(0, u64::MAX)
+        .into_iter()
+        .find(|(_, _, records)| records.iter().any(|r| r.name == "test.one_clock"))
+        .expect("this thread's ring");
+    let stages: Vec<_> =
+        ours.iter().filter(|r| r.begin_ns >= t0 && r.name.starts_with("stage.")).collect();
+    let times = engine.stage_times();
+    assert_eq!((stages.len(), times.len()), (12, 12), "{stages:?}");
+    for (layer, (span, (kind, hist))) in stages.iter().zip(&times).enumerate() {
+        assert_eq!(span.name, format!("stage.{kind}"));
+        assert_eq!(span.id, layer as u64, "a stage span's id is its layer");
+        let snap = hist.snapshot();
+        assert_eq!(snap.count(), 1, "layer {layer} timed once");
+        assert_eq!(snap.sum(), span.wall_ns, "layer {layer}: span and histogram share a clock");
+    }
 }
