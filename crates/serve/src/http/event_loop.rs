@@ -9,15 +9,17 @@
 //! 2. drain readable sockets into their incremental parsers, route every
 //!    complete request (shared [`route_request`]), and hand inference to
 //!    the model's [`BatchScheduler`](crate::BatchScheduler) via
-//!    [`submit_with`](crate::BatchScheduler::submit_with) — the completion
+//!    [`submit_with`](crate::ModelEntry::submit_with) — the completion
 //!    callback pushes onto [`LoopShared::completions`] and pokes the
-//!    waker, so inference threads never touch a socket;
+//!    waker, so inference threads never touch a socket. Blocking routes
+//!    (`/reload`, `/debug/trace`) run on a helper thread that answers
+//!    through the same queue;
 //! 3. drain the completion queue, encode responses into their reserved
 //!    pipeline slots, and flush each connection's ready prefix as far as
 //!    the socket allows.
 //!
-//! Batching is untouched: the scheduler sees the same `submit` stream the
-//! threaded front end produces, just without a thread per connection.
+//! Batching is untouched: the scheduler sees the same `submit_with` stream
+//! the threaded front end produces, just without a thread per connection.
 //!
 //! Overload and fault handling: accepts beyond
 //! [`ServerConfig::max_connections`](super::ServerConfig::max_connections)
@@ -63,17 +65,17 @@ struct Completion {
 }
 
 /// What a [`Completion`] delivers. Inference completions come from
-/// scheduler workers; trace captures come from the helper thread that
-/// `GET /debug/trace` spawns (the capture blocks for its whole window,
-/// which the loop thread never may).
+/// scheduler workers; `Done` comes from the helper thread that runs a
+/// [`Routed::Blocking`] job (a trace capture or a reload blocks, which
+/// the loop thread never may).
 enum Payload {
     Inference {
         /// Registry index of the model that served it.
         model: usize,
         result: Result<Prediction, ServeError>,
     },
-    /// Pre-rendered Chrome trace JSON.
-    Trace(String),
+    /// The blocking job's `(status, body)`.
+    Done(u16, String),
 }
 
 /// State shared between the loop thread and scheduler completion
@@ -355,32 +357,29 @@ impl EventLoop {
                                 }
                             }
                         }
-                        Routed::TraceCapture { ms } => {
-                            // The capture sleeps for its whole window; the
-                            // loop thread may never block, so a helper
-                            // thread records it and delivers the JSON
+                        Routed::Blocking(job) => {
+                            // The loop thread may never block, so a helper
+                            // thread runs the job and delivers its answer
                             // through the completion queue like any
                             // inference answer.
                             let seq = conn.pipeline.push_pending(keep_alive);
                             let gen = conn.gen;
                             let shared = Arc::clone(&self.shared);
                             let spawned = std::thread::Builder::new()
-                                .name("pecan-trace-capture".into())
+                                .name("pecan-serve-blocking".into())
                                 .spawn(move || {
-                                    let json = pecan_obs::capture_window_json(
-                                        std::time::Duration::from_millis(ms),
-                                    );
+                                    let (status, body) = job();
                                     lock(&shared.completions).push(Completion {
                                         conn: idx,
                                         gen,
                                         seq,
                                         id,
-                                        payload: Payload::Trace(json),
+                                        payload: Payload::Done(status, body),
                                     });
                                     shared.waker.wake();
                                 });
                             if spawned.is_err() {
-                                let body = "{\"error\":\"cannot spawn capture thread\"}";
+                                let body = "{\"error\":\"cannot spawn helper thread\"}";
                                 conn.pipeline
                                     .complete(seq, encode_response(500, body, keep_alive));
                                 self.http.conn_stats.record_response();
@@ -407,7 +406,7 @@ impl EventLoop {
         }
     }
 
-    /// Encodes every completed inference (or trace capture) into its
+    /// Encodes every completed inference (or blocking job) into its
     /// reserved pipeline slot.
     fn drain_completions(&mut self, now: Instant) {
         let completions = std::mem::take(&mut *lock(&self.shared.completions));
@@ -422,9 +421,9 @@ impl EventLoop {
                         .trace_request(c.id, c.gen, Some(model), status, result.as_ref().ok());
                     (status, body)
                 }
-                Payload::Trace(json) => {
-                    self.http.trace_request(c.id, c.gen, None, 200, None);
-                    (200, json)
+                Payload::Done(status, body) => {
+                    self.http.trace_request(c.id, c.gen, None, status, None);
+                    (status, body)
                 }
             };
             let stale = 'check: {

@@ -460,12 +460,12 @@ pub(crate) enum Routed {
     /// `idx` (an index, not a borrow, so the event loop can carry it
     /// through an asynchronous completion).
     Predict { idx: usize, input: Vec<f32> },
-    /// `GET /debug/trace`: record a span-trace window of `ms` milliseconds,
-    /// then answer with Chrome trace JSON. The capture *blocks* for the
-    /// window, so the threaded front end runs it on the handler thread but
-    /// the event loop must delegate to a helper thread — its loop thread
-    /// can never sleep.
-    TraceCapture { ms: u64 },
+    /// A job that may block — a `/debug/trace` capture window, a reload
+    /// reading and decoding its snapshot — and then yields the JSON
+    /// `(status, body)`. The threaded front end runs it on the handler
+    /// thread; the event loop hands it to a helper thread, since its loop
+    /// thread can never block.
+    Blocking(Box<dyn FnOnce() -> (u16, String) + Send>),
 }
 
 impl Routed {
@@ -502,7 +502,9 @@ pub(crate) fn route_request(shared: &HttpShared, request: &parser::Request) -> R
                 && (p == "/debug/trace" || p.starts_with("/debug/trace?")) =>
         {
             match parse_trace_ms(p.strip_prefix("/debug/trace").unwrap_or_default()) {
-                Ok(ms) => Routed::TraceCapture { ms },
+                Ok(ms) => Routed::Blocking(Box::new(move || {
+                    (200, pecan_obs::capture_window_json(Duration::from_millis(ms)))
+                })),
                 Err(e) => {
                     Routed::done(400, format!("{{\"error\":\"{}\"}}", json::escape(&e)))
                 }
@@ -510,8 +512,9 @@ pub(crate) fn route_request(shared: &HttpShared, request: &parser::Request) -> R
         }
         ("POST", "/predict") => predict_route(shared, model, &request.body),
         ("POST", "/reload") => {
-            let (status, body) = reload_route(shared, model);
-            Routed::done(status, body)
+            let registry = Arc::clone(&shared.registry);
+            let model = model.map(str::to_owned);
+            Routed::Blocking(Box::new(move || reload_route(&registry, model.as_deref())))
         }
         // Shutdown is server-wide: only the bare route exists.
         ("POST", "/shutdown") if model.is_none() => Routed::Done {
@@ -591,9 +594,10 @@ fn stats(shared: &HttpShared, model: Option<&str>) -> (u16, String) {
 /// model from its recorded snapshot source. Answers only once the new
 /// engine is serving (or with the typed error that left the old one
 /// serving untouched): `400` for a model with no file source, `404` for an
-/// unknown name, `500` when the file no longer loads.
-fn reload_route(shared: &HttpShared, model: Option<&str>) -> (u16, String) {
-    match shared.registry.reload(model) {
+/// unknown name, `500` when the file no longer loads. Blocks while the
+/// snapshot is read and decoded, so it runs as a [`Routed::Blocking`] job.
+fn reload_route(registry: &EngineRegistry, model: Option<&str>) -> (u16, String) {
+    match registry.reload(model) {
         Ok((entry, version)) => {
             crate::log_info!(
                 "serve::http",

@@ -4,9 +4,11 @@
 //! thread. Parsing, routing and response encoding are shared with the
 //! event loop (`parser::RequestParser`, `route_request`,
 //! `encode_response`), so the two front ends answer byte-identically; the
-//! only differences are the concurrency model and that blocking handlers
-//! wait on [`BatchScheduler::predict`](crate::BatchScheduler::predict)
-//! instead of completion callbacks. Each handler retags its connection
+//! only differences are the concurrency model and that a blocking handler
+//! waits on [`ModelEntry::predict`](crate::ModelEntry::predict) — whose
+//! completion callback sends into a ticket — instead of the event loop's
+//! completion queue, and runs blocking routes (`/reload`,
+//! `/debug/trace`) itself. Each handler retags its connection
 //! through the same `reading → handling → writing` gauge states the
 //! event loop reports, so `/stats` and `/metrics` mean the same thing on
 //! both front ends.
@@ -115,15 +117,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<HttpShared>) {
                     shared.trace_request(id, conn_gen, Some(idx), status, result.as_ref().ok());
                     (status, body, CT_JSON, false)
                 }
-                Routed::TraceCapture { ms } => {
-                    // Blocking is fine here: the capture only ties down
-                    // this connection's handler thread.
+                Routed::Blocking(job) => {
+                    // Blocking is fine here: the job only ties down this
+                    // connection's handler thread.
                     set_tag(shared, &mut tag, ConnTag::Handling);
-                    let body = pecan_obs::capture_window_json(
-                        std::time::Duration::from_millis(ms),
-                    );
-                    shared.trace_request(id, conn_gen, None, 200, None);
-                    (200, body, CT_JSON, false)
+                    let (status, body) = job();
+                    shared.trace_request(id, conn_gen, None, status, None);
+                    (status, body, CT_JSON, false)
                 }
             };
         set_tag(shared, &mut tag, ConnTag::Writing);

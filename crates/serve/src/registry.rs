@@ -32,15 +32,18 @@
 //!
 //! A submitter that loses the race (clones the old version, then the swap
 //! lands and the old queue refuses with
-//! [`ServeError::ShuttingDown`](crate::ServeError)) gets its payload back
-//! and retries on the new version — see [`ModelEntry::predict`] /
-//! [`ModelEntry::submit_with`]. The registry itself is append-only, so
-//! the entry indices the event-loop front end carries through
-//! asynchronous completions stay valid across reloads and live
-//! registrations.
+//! [`ServeError::ShuttingDown`](crate::ServeError)) gets its payload and
+//! completion callback back and retries on the new version. That retry
+//! loop lives in [`ModelEntry::submit_with`] only: the blocking
+//! [`ModelEntry::predict`] queues a channel-backed callback through it and
+//! waits. The registry itself is append-only, so the entry indices the
+//! event-loop front end carries through asynchronous completions stay
+//! valid across reloads and live registrations.
 
 use crate::error::ServeError;
-use crate::scheduler::{BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig};
+use crate::scheduler::{
+    BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig, Ticket,
+};
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::FrozenEngine;
 use std::path::{Path, PathBuf};
@@ -199,35 +202,26 @@ impl ModelEntry {
         *lock(&self.source) = Some(ModelSource { path: path.into(), mode });
     }
 
-    /// Submits one request and waits for the answer, riding out an engine
-    /// swap: if the grabbed version starts draining before the request is
-    /// queued, the payload comes back and is resubmitted to the
-    /// replacement version — no request is dropped by a reload.
+    /// Submits one request and waits for the answer. It queues a
+    /// callback that sends into a [`Ticket`] through
+    /// [`ModelEntry::submit_with`], so it rides out an engine swap the
+    /// same way.
     ///
     /// # Errors
     ///
     /// As for [`BatchScheduler::submit`]; [`ServeError::ShuttingDown`]
     /// only when the whole entry is shutting down for good.
     pub fn predict(&self, input: Vec<f32>) -> Result<Prediction, ServeError> {
-        let mut input = input;
-        loop {
-            let version = Arc::clone(&read(&self.current));
-            match version.scheduler.try_submit(input) {
-                Ok(ticket) => return ticket.wait(),
-                Err((ServeError::ShuttingDown, returned))
-                    if self.version() > version.version =>
-                {
-                    // Lost the race against a reload; go again on the
-                    // replacement.
-                    input = returned;
-                }
-                Err((e, _)) => return Err(e),
-            }
-        }
+        let (complete, ticket) = Ticket::pair();
+        self.submit_with(input, complete)?;
+        ticket.wait()
     }
 
-    /// As [`ModelEntry::predict`] but completion-callback shaped (the
-    /// event-loop front end), with the same retry-across-reload guarantee.
+    /// Submits one request whose answer `complete` receives on a worker
+    /// thread (the event-loop front end), riding out an engine swap: if
+    /// the grabbed version starts draining before the request is queued,
+    /// the payload and callback come back and are resubmitted to the
+    /// replacement version — no request is dropped by a reload.
     ///
     /// # Errors
     ///
@@ -242,6 +236,8 @@ impl ModelEntry {
                 Err((ServeError::ShuttingDown, input, complete))
                     if self.version() > version.version =>
                 {
+                    // Lost the race against a reload; go again on the
+                    // replacement.
                     pair = (input, complete);
                 }
                 Err((e, _, _)) => return Err(e),
@@ -554,25 +550,6 @@ impl EngineRegistry {
         Ok((entry, version))
     }
 
-    /// Per-model counters as one JSON object:
-    /// `{"default":"<name>","models":{"<name>":{…},…}}`.
-    pub fn stats_json(&self) -> String {
-        let mut out = String::from("{\"default\":\"");
-        out.push_str(&crate::json::escape(self.default_model().name()));
-        out.push_str("\",\"models\":{");
-        for (i, e) in self.entries().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&crate::json::escape(&e.name));
-            out.push_str("\":");
-            out.push_str(&e.stats().to_json());
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Shuts down every model's scheduler, draining queued requests.
     /// Idempotent.
     pub fn shutdown(&self) {
@@ -621,9 +598,6 @@ mod tests {
             Err(ServeError::UnknownModel(n)) => assert_eq!(n, "gone"),
             other => panic!("expected UnknownModel, got {other:?}"),
         }
-        let json = r.stats_json();
-        assert!(json.contains("\"default\":\"lenet\""));
-        assert!(json.contains("\"mlp\":{\"submitted\""));
         r.shutdown();
     }
 

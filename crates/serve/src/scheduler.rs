@@ -12,6 +12,13 @@
 //! batching is purely a throughput decision — responses never depend on
 //! which requests happened to share a batch.
 //!
+//! [`BatchScheduler::submit_with`] is the one admission path: it checks
+//! and queues every request, and each queued request carries one
+//! [`Complete`] callback that a worker calls exactly once with the
+//! answer. The blocking [`BatchScheduler::submit`] and
+//! [`BatchScheduler::predict`] queue a callback that sends into the
+//! channel their [`Ticket`] waits on.
+//!
 //! # Thread-pool note (ROADMAP "per-call pool reuse")
 //!
 //! The serving hot path performs **zero thread spawns per request**: the
@@ -120,32 +127,14 @@ pub struct Prediction {
     pub batch_id: u64,
 }
 
-/// Completion callback type of [`BatchScheduler::submit_with`].
+/// Completion callback: how every queued request is answered. A worker
+/// calls it exactly once, with the batch's result or error.
 pub type Complete = Box<dyn FnOnce(Result<Prediction, ServeError>) + Send>;
-
-/// How one request's answer travels back to its submitter.
-enum Reply {
-    /// [`BatchScheduler::submit`]: a blocking caller waits on the channel.
-    Channel(mpsc::Sender<Result<Prediction, ServeError>>),
-    /// [`BatchScheduler::submit_with`]: the worker invokes the callback —
-    /// the completion wakeup the event-loop front end is built on.
-    Callback(Complete),
-}
-
-impl Reply {
-    fn send(self, result: Result<Prediction, ServeError>) {
-        match self {
-            // A dropped receiver means the client went away; nothing to do.
-            Reply::Channel(tx) => drop(tx.send(result)),
-            Reply::Callback(f) => f(result),
-        }
-    }
-}
 
 struct Request {
     input: Vec<f32>,
     submitted: Instant,
-    reply: Reply,
+    complete: Complete,
 }
 
 struct QueueState {
@@ -170,6 +159,15 @@ pub struct Ticket {
 }
 
 impl Ticket {
+    /// A blocking reply: the callback sends into the channel the ticket
+    /// waits on.
+    pub(crate) fn pair() -> (Complete, Ticket) {
+        let (tx, rx) = mpsc::channel();
+        // A dropped receiver means the client went away; nothing to do.
+        let complete: Complete = Box::new(move |result| drop(tx.send(result)));
+        (complete, Ticket { rx })
+    }
+
     /// Blocks until the scheduler answers this request.
     ///
     /// # Errors
@@ -276,55 +274,15 @@ impl BatchScheduler {
     /// * [`ServeError::Overloaded`] — queue at capacity;
     /// * [`ServeError::ShuttingDown`] — scheduler is draining.
     pub fn submit(&self, input: Vec<f32>) -> Result<Ticket, ServeError> {
-        self.try_submit(input).map_err(|(e, _)| e)
-    }
-
-    /// As [`BatchScheduler::submit`], but a rejection hands the input
-    /// back with the error — the registry's hot-reload retry resubmits
-    /// to the replacement scheduler without ever cloning the payload.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BatchScheduler::submit`], paired with the unqueued input.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, input: Vec<f32>) -> Result<Ticket, (ServeError, Vec<f32>)> {
-        let want = self.shared.runner.input_len();
-        if input.len() != want {
-            let e = ServeError::BadInput(format!(
-                "request has {} values, engine expects {want}",
-                input.len()
-            ));
-            return Err((e, input));
-        }
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut state = lock(&self.shared.state);
-            if state.shutdown {
-                return Err((ServeError::ShuttingDown, input));
-            }
-            if state.queue.len() >= self.shared.config.queue_capacity {
-                self.shared.stats.record_rejected();
-                let e = ServeError::Overloaded {
-                    capacity: self.shared.config.queue_capacity,
-                };
-                return Err((e, input));
-            }
-            state.queue.push_back(Request {
-                input,
-                submitted: Instant::now(),
-                reply: Reply::Channel(tx),
-            });
-        }
-        self.shared.stats.record_submitted();
-        self.shared.cvar.notify_one();
-        Ok(Ticket { rx })
+        let (complete, ticket) = Ticket::pair();
+        self.submit_with(input, complete)?;
+        Ok(ticket)
     }
 
     /// Enqueues one request whose answer is delivered by invoking
-    /// `complete` on a worker thread — no caller blocks. This is the
-    /// completion-wakeup path the event-loop front end uses: the callback
-    /// pushes the result onto the loop's completion queue and pokes its
-    /// eventfd.
+    /// `complete` on a worker thread — no caller blocks. The event-loop
+    /// front end's callback pushes the result onto the loop's completion
+    /// queue and pokes its eventfd.
     ///
     /// The callback is called exactly once, with the batch's result or
     /// error; it must not block (it runs on the inference worker).
@@ -338,16 +296,16 @@ impl BatchScheduler {
     }
 
     /// As [`BatchScheduler::submit_with`], but a rejection hands both the
-    /// input and the callback back with the error, so the caller can
-    /// resubmit elsewhere (the hot-reload retry) or invoke the callback
-    /// itself.
+    /// input and the callback back with the error, so the registry's
+    /// hot-reload retry can resubmit them to the replacement scheduler
+    /// without cloning the payload.
     ///
     /// # Errors
     ///
     /// As for [`BatchScheduler::submit`], paired with the unqueued input
     /// and the uninvoked callback.
     #[allow(clippy::result_large_err, clippy::type_complexity)]
-    pub fn try_submit_with(
+    pub(crate) fn try_submit_with(
         &self,
         input: Vec<f32>,
         complete: Complete,
@@ -372,11 +330,7 @@ impl BatchScheduler {
                 };
                 return Err((e, input, complete));
             }
-            state.queue.push_back(Request {
-                input,
-                submitted: Instant::now(),
-                reply: Reply::Callback(complete),
-            });
+            state.queue.push_back(Request { input, submitted: Instant::now(), complete });
         }
         self.shared.stats.record_submitted();
         self.shared.cvar.notify_one();
@@ -402,8 +356,9 @@ impl BatchScheduler {
     /// Stops accepting work, drains every queued request, and joins the
     /// workers. Idempotent; called automatically on drop.
     ///
-    /// In-flight and queued requests are all answered — a ticket obtained
-    /// before `shutdown` never dangles.
+    /// In-flight and queued requests are all answered — every queued
+    /// callback runs, so a ticket obtained before `shutdown` never
+    /// dangles.
     pub fn shutdown(&self) {
         {
             let mut state = lock(&self.shared.state);
@@ -493,8 +448,8 @@ fn worker_loop(shared: &Shared) {
         let batch_id = shared.stats.record_batch(batch.len());
         let _span = pecan_obs::span_with_id("scheduler.batch", batch_id);
         // A panicking runner must not kill the worker: queued requests
-        // behind this batch would never be answered and their tickets
-        // would hang forever. Contain it and answer the batch with an
+        // behind this batch would never be answered and their callers
+        // would wait forever. Contain it and answer the batch with an
         // error instead.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shared.runner.run_batch(&inputs)
@@ -516,7 +471,7 @@ fn worker_loop(shared: &Shared) {
                     shared
                         .stats
                         .record_completed(queued.as_nanos() as u64, total.as_nanos() as u64);
-                    req.reply.send(Ok(Prediction {
+                    (req.complete)(Ok(Prediction {
                         output,
                         queued,
                         total,
@@ -535,7 +490,7 @@ fn worker_loop(shared: &Shared) {
                 );
                 for req in batch {
                     shared.stats.record_failed();
-                    req.reply.send(Err(e.clone()));
+                    (req.complete)(Err(e.clone()));
                 }
             }
         }

@@ -10,19 +10,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// to account a request.
 ///
 /// The histograms record in nanoseconds (latencies) and requests
-/// (batch size). Per-stage wall time lives with the engine that ran it
-/// (`FrozenEngine::stage_times`), not here.
+/// (batch size). A completed request is recorded once, into the
+/// histograms; [`StatsSnapshot`]'s `completed`, means and maximum latency
+/// are read back from their counts, sums and maxima. Per-stage wall time
+/// lives with the engine that ran it (`FrozenEngine::stage_times`), not
+/// here.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     submitted: AtomicU64,
-    completed: AtomicU64,
     rejected: AtomicU64,
     failed: AtomicU64,
+    /// Mints the batch IDs; equals `batch_size`'s count.
     batches: AtomicU64,
-    batched_requests: AtomicU64,
-    queue_ns_total: AtomicU64,
-    total_ns_total: AtomicU64,
-    total_ns_max: AtomicU64,
     latency: Histogram,
     queue: Histogram,
     infer: Histogram,
@@ -47,16 +46,11 @@ impl ServeStats {
     /// unique per scheduler) for request tracing.
     pub(crate) fn record_batch(&self, size: usize) -> u64 {
         let id = self.batches.fetch_add(1, Ordering::Relaxed) + 1;
-        self.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
         self.batch_size.record(size as u64);
         id
     }
 
     pub(crate) fn record_completed(&self, queue_ns: u64, total_ns: u64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.queue_ns_total.fetch_add(queue_ns, Ordering::Relaxed);
-        self.total_ns_total.fetch_add(total_ns, Ordering::Relaxed);
-        self.total_ns_max.fetch_max(total_ns, Ordering::Relaxed);
         self.latency.record(total_ns);
         self.queue.record(queue_ns);
         self.infer.record(total_ns.saturating_sub(queue_ns));
@@ -88,20 +82,17 @@ impl ServeStats {
 
     /// Coherent-enough point-in-time copy of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let completed = self.completed.load(Ordering::Relaxed);
-        let batches = self.batches.load(Ordering::Relaxed);
         let latency = self.latency.snapshot();
-        let div = |num: u64, den: u64| if den == 0 { 0.0 } else { num as f64 / den as f64 };
         StatsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
-            completed,
+            completed: latency.count(),
             rejected: self.rejected.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
-            batches,
-            mean_batch: div(self.batched_requests.load(Ordering::Relaxed), batches),
-            mean_queue_us: div(self.queue_ns_total.load(Ordering::Relaxed), completed) / 1_000.0,
-            mean_latency_us: div(self.total_ns_total.load(Ordering::Relaxed), completed) / 1_000.0,
-            max_latency_us: self.total_ns_max.load(Ordering::Relaxed) / 1_000,
+            batches: self.batches.load(Ordering::Relaxed),
+            mean_batch: self.batch_size.snapshot().mean(),
+            mean_queue_us: self.queue.snapshot().mean() / 1_000.0,
+            mean_latency_us: latency.mean() / 1_000.0,
+            max_latency_us: latency.max() / 1_000,
             p50_latency_us: latency.quantile(0.50) / 1_000,
             p90_latency_us: latency.quantile(0.90) / 1_000,
             p99_latency_us: latency.quantile(0.99) / 1_000,

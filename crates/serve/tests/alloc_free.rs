@@ -7,8 +7,9 @@
 //!   allocates", `obs/recorder.rs`). Any allocation is a regression.
 //! * **Constant after warm-up** — the scheduler submit path and
 //!   `FrozenEngine::infer`. These allocate by design (`submit` creates an
-//!   mpsc reply channel per request; `infer` builds fresh column matrices
-//!   per stage), so the honest invariant is that the per-call allocation
+//!   mpsc reply channel plus the boxed completion callback that sends
+//!   into it, per request; `infer` builds fresh column matrices per
+//!   stage), so the honest invariant is that the per-call allocation
 //!   count does not *grow* once caches and queues are warm — catching
 //!   accidental per-request leaks or O(n)-growth bugs without pretending
 //!   the paths are allocation-free.

@@ -7,20 +7,30 @@
 //! across the swap, and a failed reload must leave the old version
 //! serving.
 //!
-//! Uses the threaded front end: it handles `/reload` concurrently with
-//! predictions. (The event loop serves `/reload` too, but on its single
-//! loop thread — see `docs/serving-ops.md`.)
+//! The zero-drop and non-blocking tests run on both front ends. Both
+//! serve `/reload` concurrently with predictions: the threaded front end
+//! on the connection's handler thread, the event loop on a helper thread,
+//! so a reload stuck reading its snapshot never delays other requests.
 
 use pecan_serve::client::HttpClient;
 use pecan_serve::obs::metrics::find_sample;
 use pecan_serve::{demo, json, EngineRegistry, LoadMode, SchedulerConfig, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("pecan-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+fn front_end_flags() -> Vec<bool> {
+    if pecan_serve::event_loop_supported() {
+        vec![false, true]
+    } else {
+        vec![false]
+    }
 }
 
 fn body_output(body: &str) -> Vec<f32> {
@@ -39,7 +49,16 @@ fn body_output(body: &str) -> Vec<f32> {
 
 #[test]
 fn live_reload_drops_nothing_and_serves_known_versions() {
-    let dir = tmp_dir("hot-reload");
+    for event_loop in front_end_flags() {
+        live_reload_round(event_loop);
+    }
+}
+
+/// One run of [`live_reload_drops_nothing_and_serves_known_versions`] on
+/// the front end `event_loop` selects.
+fn live_reload_round(event_loop: bool) {
+    println!("front end: {}", if event_loop { "event loop" } else { "threaded" });
+    let dir = tmp_dir(&format!("hot-reload-{event_loop}"));
     let path = dir.join("m.psnp");
     let seeds: [u64; 4] = [1, 2, 3, 4];
     demo::mlp_engine(seeds[0]).save_snapshot(&path).unwrap();
@@ -58,8 +77,8 @@ fn live_reload_drops_nothing_and_serves_known_versions() {
     registry
         .register_file("m", &path, LoadMode::Copy, SchedulerConfig::default())
         .unwrap();
-    let server =
-        Server::start_registry(registry, ServerConfig::default()).expect("server starts");
+    let config = ServerConfig { event_loop, ..ServerConfig::default() };
+    let server = Server::start_registry(registry, config).expect("server starts");
     let addr = server.local_addr();
 
     // Clients hammer the model on keep-alive connections for the whole
@@ -145,6 +164,92 @@ fn live_reload_drops_nothing_and_serves_known_versions() {
 
     server.stop();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Sends one request on a fresh connection whose reads give up after
+/// `timeout`, and returns `(status, body)`.
+#[cfg(unix)]
+fn call_within(
+    addr: std::net::SocketAddr,
+    timeout: Duration,
+    path: &str,
+    body: &str,
+) -> std::io::Result<(u16, String)> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    let request = format!(
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes())?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    let status = response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    Ok((status, body.to_string()))
+}
+
+/// A reload stuck reading its snapshot must not hold up anyone else. The
+/// model's source is a FIFO, so the reload blocks in `fs::read` until the
+/// test writes the snapshot into it — for as long as the test wants, with
+/// no timing guess. Meanwhile a predict on another connection must be
+/// answered within 2 s.
+#[cfg(unix)]
+#[test]
+fn a_blocked_reload_never_delays_other_requests() {
+    use std::sync::mpsc;
+    for event_loop in front_end_flags() {
+        let front = if event_loop { "event loop" } else { "threaded" };
+        let dir = tmp_dir(&format!("reload-fifo-{event_loop}"));
+        let path = dir.join("m.psnp");
+        let next = dir.join("next.psnp");
+        let fifo = dir.join("m.fifo");
+        demo::mlp_engine(1).save_snapshot(&path).unwrap();
+        demo::mlp_engine(2).save_snapshot(&next).unwrap();
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status().expect("mkfifo");
+        assert!(made.success(), "mkfifo {}", fifo.display());
+
+        let registry = EngineRegistry::new();
+        registry.register_file("m", &path, LoadMode::Copy, SchedulerConfig::default()).unwrap();
+        registry.resolve(Some("m")).unwrap().set_source(&fifo, LoadMode::Copy);
+        let config = ServerConfig { event_loop, ..ServerConfig::default() };
+        let server = Server::start_registry(registry, config).expect("server starts");
+        let addr = server.local_addr();
+
+        // Opening a FIFO for writing blocks until a reader opens it: once
+        // the writer's open returns, the reload is inside `fs::read`.
+        let (opened_tx, opened) = mpsc::channel();
+        let (write_tx, write) = mpsc::channel::<()>();
+        let snapshot = std::fs::read(&next).unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut w = std::fs::OpenOptions::new().write(true).open(&fifo).expect("open fifo");
+            opened_tx.send(()).unwrap();
+            let _ = write.recv();
+            std::io::Write::write_all(&mut w, &snapshot).expect("write snapshot");
+        });
+        let reload = std::thread::spawn(move || {
+            HttpClient::connect(addr)?.call("POST", "/models/m/reload", "")
+        });
+        opened.recv_timeout(Duration::from_secs(10)).expect("the reload opens its source");
+
+        let input = json::format_f32_array(&vec![0.5; demo::MLP_INPUT]);
+        let predicted = call_within(addr, Duration::from_secs(2), "/models/m/predict", &input);
+        // Unblock the reload before asserting anything: a failed assertion
+        // must fail the test, not hang in `Server::stop`.
+        write_tx.send(()).unwrap();
+        writer.join().unwrap();
+        let reloaded = reload.join().unwrap();
+
+        let (status, body) = predicted
+            .unwrap_or_else(|e| panic!("{front}: predict behind a blocked reload: {e}"));
+        assert_eq!(status, 200, "{front}: {body}");
+        let (status, body) = reloaded.expect("reload answers");
+        assert_eq!(status, 200, "{front}: {body}");
+        assert!(body.contains("\"version\":2"), "{front}: {body}");
+        server.stop();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]

@@ -6,9 +6,14 @@
 //!   (gated fake runner, so "full" is not a race);
 //! * **clean shutdown**: every request accepted before `shutdown()` is
 //!   answered — the queue drains, nothing dangles;
-//! * **micro-batching**: queued requests actually coalesce into one batch.
+//! * **micro-batching**: queued requests actually coalesce into one batch;
+//! * **one completion per request**: `submit_with`'s callback runs exactly
+//!   once for every queued request — answered, failed or drained — and
+//!   never for a synchronous rejection.
 
-use pecan_serve::{demo, BatchRunner, BatchScheduler, SchedulerConfig, ServeError};
+use pecan_serve::{
+    demo, BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig, ServeError,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,7 +22,7 @@ use std::time::Duration;
 
 /// A runner that blocks inside `run_batch` until the test releases it —
 /// makes "worker busy, queue full" states deterministic instead of timing
-/// dependent.
+/// dependent. A negative input fails its whole batch.
 struct GatedRunner {
     /// Signals each `run_batch` entry.
     entered: mpsc::Sender<usize>,
@@ -51,6 +56,9 @@ impl BatchRunner for GatedRunner {
         let _ = self.entered.send(inputs.len());
         // Hold until released; a closed gate (test ended) just proceeds.
         let _ = self.gate.lock().unwrap().recv();
+        if inputs.iter().any(|v| v[0] < 0.0) {
+            return Err(ServeError::Engine("negative input".into()));
+        }
         Ok(inputs.iter().map(|v| vec![v[0] * 2.0]).collect())
     }
 }
@@ -233,4 +241,71 @@ fn max_wait_gathers_stragglers_into_the_batch() {
     let sizes: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     assert!(sizes.iter().all(|&s| (1..=4).contains(&s)));
     scheduler.shutdown();
+}
+
+#[test]
+fn completion_callback_runs_once_per_queued_request_and_never_on_rejection() {
+    let (runner, entered, gate) = GatedRunner::new();
+    let scheduler = Arc::new(BatchScheduler::start(
+        runner,
+        SchedulerConfig {
+            max_batch: 1,
+            max_wait: Duration::ZERO,
+            queue_capacity: 2,
+            workers: 1,
+        },
+    ));
+    // Request `tag`'s callback forwards its answer, tagged; being
+    // `FnOnce`, it can forward at most once.
+    let (answers_tx, answers) = mpsc::channel::<(usize, Result<Prediction, ServeError>)>();
+    let callback = |tag: usize| -> Complete {
+        let answers_tx = answers_tx.clone();
+        Box::new(move |result| drop(answers_tx.send((tag, result))))
+    };
+
+    // 0: wrong length, rejected before queueing.
+    let bad = scheduler.submit_with(vec![1.0, 2.0], callback(0));
+    assert!(matches!(bad, Err(ServeError::BadInput(_))), "{bad:?}");
+    // 1 succeeds; the worker holds it in the gate.
+    scheduler.submit_with(vec![1.0], callback(1)).unwrap();
+    assert_eq!(entered.recv().unwrap(), 1);
+    // 2 fails its batch; 3 is still queued when shutdown begins.
+    scheduler.submit_with(vec![-1.0], callback(2)).unwrap();
+    scheduler.submit_with(vec![3.0], callback(3)).unwrap();
+    // 4: the queue is full.
+    let full = scheduler.submit_with(vec![4.0], callback(4));
+    assert!(matches!(full, Err(ServeError::Overloaded { capacity: 2 })), "{full:?}");
+
+    // Shut down while the worker is pinned. Until the flag is up the full
+    // queue answers `Overloaded`; from then on, 5 is refused as draining.
+    let shutdown = {
+        let scheduler = Arc::clone(&scheduler);
+        std::thread::spawn(move || scheduler.shutdown())
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        match scheduler.submit_with(vec![5.0], callback(5)) {
+            Err(ServeError::ShuttingDown) => break,
+            Err(ServeError::Overloaded { .. }) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            other => panic!("expected ShuttingDown, got {other:?}"),
+        }
+    }
+    // The drain answers 1, then 2's failed batch, then 3.
+    for _ in 0..3 {
+        gate.send(()).unwrap();
+    }
+    shutdown.join().unwrap();
+    // Every callback has now run or been dropped, so this ends the stream.
+    drop(answers_tx);
+
+    let answered: Vec<(usize, Result<Prediction, ServeError>)> = answers.iter().collect();
+    let tags: Vec<usize> = answered.iter().map(|(tag, _)| *tag).collect();
+    assert_eq!(tags, vec![1, 2, 3], "queued requests answered once each, rejections never");
+    assert_eq!(answered[0].1.as_ref().unwrap().output, vec![2.0]);
+    assert!(matches!(answered[1].1, Err(ServeError::Engine(_))), "{:?}", answered[1].1);
+    assert_eq!(answered[2].1.as_ref().unwrap().output, vec![6.0], "drained by shutdown");
+    let stats = scheduler.stats();
+    assert_eq!((stats.submitted, stats.completed, stats.failed), (3, 2, 1));
 }
