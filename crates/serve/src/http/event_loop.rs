@@ -34,7 +34,7 @@ use super::parser::DEFAULT_MAX_HEAD;
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
 use super::{
     encode_response, encode_response_with, error_body, error_response, lock, prediction_parts,
-    route_request, HttpShared, Routed,
+    route_request, HttpShared, Routed, MAX_PIPELINE,
 };
 use crate::error::ServeError;
 use crate::scheduler::Prediction;
@@ -282,7 +282,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
             if conn.close_after_flush
                 || self.draining
-                || conn.pipeline.len() >= self.http.max_pipeline
+                || conn.pipeline.len() >= MAX_PIPELINE
             {
                 return;
             }
@@ -470,7 +470,7 @@ impl EventLoop {
                         self.http.conn_stats.record_retag(conn.tag, tag);
                         conn.tag = tag;
                     }
-                    let want = conn.desired_interest(self.http.max_pipeline, self.draining);
+                    let want = conn.desired_interest(MAX_PIPELINE, self.draining);
                     if want != conn.registered
                         && self
                             .epoll

@@ -36,10 +36,12 @@
 //! deployments and old clients keep working unchanged. An unknown model
 //! name answers `404` with `{"error":"unknown model …"}`. Backpressure
 //! surfaces as `503` with `{"error":"overloaded…"}` and a `Retry-After`
-//! header — either from load-aware shedding
-//! ([`ServerConfig::shed_fraction`], counted in
+//! header — either from load-aware shedding (a model's queue at
+//! [`SHED_FRACTION`] of its capacity, counted in
 //! [`ConnStatsSnapshot::shed_requests`](crate::ConnStatsSnapshot)) or from
-//! the scheduler's hard queue bound. Malformed requests answer `400`.
+//! the scheduler's hard queue bound. A reload or trace capture beyond
+//! [`MAX_BLOCKING`] running at once also answers `503` and counts as shed.
+//! Malformed requests answer `400`.
 
 pub mod parser;
 
@@ -64,7 +66,7 @@ use crate::stats::{ConnStats, ConnStatsSnapshot, StatsSnapshot};
 use crate::FrozenEngine;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -104,16 +106,6 @@ pub struct ServerConfig {
     /// `503` and closed (counted in
     /// [`ConnStatsSnapshot::shed_connections`]).
     pub max_connections: usize,
-    /// Most pipelined requests one connection may have unanswered before
-    /// the event loop stops reading from it (bounded buffering; the
-    /// threaded front end is naturally bounded at 1).
-    pub max_pipeline: usize,
-    /// Fraction of a model's scheduler queue capacity at which `/predict`
-    /// starts answering `503` **before** the hard queue rejection
-    /// (load-aware shedding, counted in
-    /// [`ConnStatsSnapshot::shed_requests`]). Values ≥ 1 disable shedding,
-    /// leaving only the scheduler's own bound.
-    pub shed_fraction: f64,
     /// Capacity of the flight recorder: how many of the newest completed
     /// requests `/debug/requests` can replay.
     pub flight_records: usize,
@@ -128,20 +120,35 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             event_loop: false,
             max_connections: 1024,
-            max_pipeline: 32,
-            shed_fraction: 0.9,
             flight_records: 256,
         }
     }
 }
+
+/// Most pipelined requests one connection may have unanswered before the
+/// event loop stops reading from it (bounded buffering; the threaded front
+/// end is naturally bounded at 1).
+pub(crate) const MAX_PIPELINE: usize = 32;
+
+/// Fraction of a model's scheduler queue capacity at which `/predict`
+/// starts answering `503` **before** the hard queue rejection (load-aware
+/// shedding, counted in [`ConnStatsSnapshot::shed_requests`]).
+const SHED_FRACTION: f64 = 0.9;
+
+/// Most blocking jobs ([`Routed::Blocking`]: reloads and `/debug/trace`
+/// captures) running at once, server-wide. Each ties down a thread, and a
+/// reload may hold a whole snapshot decode; beyond the cap such a request
+/// answers `503` at once (counted in
+/// [`ConnStatsSnapshot::shed_requests`]).
+const MAX_BLOCKING: usize = 4;
 
 pub(crate) struct HttpShared {
     pub(crate) registry: Arc<EngineRegistry>,
     pub(crate) max_body: usize,
     pub(crate) read_timeout: Duration,
     pub(crate) max_connections: usize,
-    pub(crate) max_pipeline: usize,
-    pub(crate) shed_fraction: f64,
+    /// Blocking jobs admitted and not yet dropped (≤ [`MAX_BLOCKING`]).
+    blocking: Arc<AtomicUsize>,
     pub(crate) stopping: AtomicBool,
     pub(crate) shutdown_tx: mpsc::Sender<()>,
     pub(crate) conn_stats: ConnStats,
@@ -286,8 +293,7 @@ impl Server {
             max_body: config.max_body,
             read_timeout: config.read_timeout,
             max_connections: config.max_connections.max(1),
-            max_pipeline: config.max_pipeline.max(1),
-            shed_fraction: config.shed_fraction,
+            blocking: Arc::default(),
             stopping: AtomicBool::new(false),
             shutdown_tx,
             conn_stats: ConnStats::new(),
@@ -502,9 +508,9 @@ pub(crate) fn route_request(shared: &HttpShared, request: &parser::Request) -> R
                 && (p == "/debug/trace" || p.starts_with("/debug/trace?")) =>
         {
             match parse_trace_ms(p.strip_prefix("/debug/trace").unwrap_or_default()) {
-                Ok(ms) => Routed::Blocking(Box::new(move || {
+                Ok(ms) => blocking(shared, move || {
                     (200, pecan_obs::capture_window_json(Duration::from_millis(ms)))
-                })),
+                }),
                 Err(e) => {
                     Routed::done(400, format!("{{\"error\":\"{}\"}}", json::escape(&e)))
                 }
@@ -514,7 +520,7 @@ pub(crate) fn route_request(shared: &HttpShared, request: &parser::Request) -> R
         ("POST", "/reload") => {
             let registry = Arc::clone(&shared.registry);
             let model = model.map(str::to_owned);
-            Routed::Blocking(Box::new(move || reload_route(&registry, model.as_deref())))
+            blocking(shared, move || reload_route(&registry, model.as_deref()))
         }
         // Shutdown is server-wide: only the bare route exists.
         ("POST", "/shutdown") if model.is_none() => Routed::Done {
@@ -526,6 +532,41 @@ pub(crate) fn route_request(shared: &HttpShared, request: &parser::Request) -> R
         ("GET" | "POST", _) => Routed::done(404, "{\"error\":\"no such route\"}".into()),
         _ => Routed::done(405, "{\"error\":\"method not allowed\"}".into()),
     }
+}
+
+/// Frees one [`MAX_BLOCKING`] slot when the job holding it is dropped:
+/// after it ran, while a panic unwinds it, or unrun (a helper thread that
+/// failed to spawn).
+struct BlockingSlot(Arc<AtomicUsize>);
+
+impl Drop for BlockingSlot {
+    fn drop(&mut self) {
+        // ordering: Relaxed — pairs with the claim in `blocking`. The
+        // counter guards no other memory (each job owns its captures), so
+        // only the RMW's atomicity matters.
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Wraps `job` as a [`Routed::Blocking`] holding one of the
+/// [`MAX_BLOCKING`] server-wide slots, or sheds the request with a `503`
+/// when every slot is taken.
+fn blocking(shared: &HttpShared, job: impl FnOnce() -> (u16, String) + Send + 'static) -> Routed {
+    // ordering: Relaxed — pairs with the release in `BlockingSlot::drop`;
+    // a counter of slots, publishing nothing, so atomicity suffices.
+    let claimed = shared
+        .blocking
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < MAX_BLOCKING).then_some(n + 1))
+        .is_ok();
+    if !claimed {
+        shared.conn_stats.record_shed_request();
+        return Routed::done(503, "{\"error\":\"too many blocking requests in flight\"}".into());
+    }
+    let slot = BlockingSlot(Arc::clone(&shared.blocking));
+    Routed::Blocking(Box::new(move || {
+        let _slot = slot;
+        job()
+    }))
 }
 
 pub(crate) fn error_response(e: &ServeError) -> (u16, String) {
@@ -770,10 +811,10 @@ fn parse_trace_ms(query: &str) -> Result<u64, String> {
 }
 
 /// The queue depth at which load-aware shedding starts for a scheduler of
-/// `capacity`. At least 1 so a capacity-1 queue still sheds instead of
-/// hard-rejecting; ≥ `capacity` (fraction ≥ 1) disables shedding.
-fn shed_threshold(capacity: usize, fraction: f64) -> usize {
-    ((capacity as f64 * fraction) as usize).max(1)
+/// `capacity`: [`SHED_FRACTION`] of it, at least 1 so a capacity-1 queue
+/// still sheds instead of hard-rejecting.
+fn shed_threshold(capacity: usize) -> usize {
+    ((capacity as f64 * SHED_FRACTION) as usize).max(1)
 }
 
 fn predict_route(shared: &HttpShared, model: Option<&str>, body: &[u8]) -> Routed {
@@ -798,7 +839,7 @@ fn predict_route(shared: &HttpShared, model: Option<&str>, body: &[u8]) -> Route
     // requests already past routing.
     let entry = shared.registry.entry(idx);
     let capacity = entry.config().queue_capacity;
-    if entry.queue_len() >= shed_threshold(capacity, shared.shed_fraction) {
+    if entry.queue_len() >= shed_threshold(capacity) {
         shared.conn_stats.record_shed_request();
         let (status, body) = error_response(&ServeError::Overloaded { capacity });
         return Routed::done(status, body);
@@ -905,10 +946,9 @@ mod tests {
     }
 
     #[test]
-    fn shed_threshold_floors_and_disables() {
-        assert_eq!(shed_threshold(256, 0.9), 230);
-        assert_eq!(shed_threshold(1, 0.9), 1, "capacity-1 queues still shed");
-        assert!(shed_threshold(8, 1.0) >= 8, "fraction 1 leaves only the hard bound");
+    fn shed_threshold_floors_at_one() {
+        assert_eq!(shed_threshold(256), 230);
+        assert_eq!(shed_threshold(1), 1, "capacity-1 queues still shed");
     }
 
     #[test]

@@ -40,9 +40,11 @@
 //!    the `serve` and `loadgen` binaries. Models can be **hot-registered**
 //!    and **blue/green reloaded** while serving (`POST
 //!    /models/{name}/reload`, [`ModelEntry::reload_from_source`], or the
-//!    `--model-dir` directory watcher): the new engine starts answering
-//!    atomically while the old scheduler drains, so no request is dropped
-//!    and counters carry across versions. Two interchangeable front ends
+//!    `--model-dir` directory watcher): each model keeps one scheduler,
+//!    and a reload swaps the engine inside it — new requests go to the
+//!    new engine, queued ones are answered by the engine that admitted
+//!    them, so no request is dropped and counters carry across versions.
+//!    Two interchangeable front ends
 //!    share one parser, router
 //!    and encoder: portable thread-per-connection, and an epoll **event
 //!    loop** ([`ServerConfig::event_loop`], Linux `x86_64`/`aarch64` —

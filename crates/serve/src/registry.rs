@@ -14,40 +14,28 @@
 //!
 //! # Zero-downtime reload
 //!
-//! A [`ModelEntry`] is a stable *name* whose engine can be replaced while
-//! requests are in flight ([`ModelEntry::reload_runner`], HTTP
-//! `POST /models/{name}/reload`). The swap is blue/green:
-//!
-//! 1. a fresh [`BatchScheduler`] is started over the replacement engine,
-//!    recording into the **same** stats store (request counters and
-//!    latency/batch-size histograms continue across versions; per-layer
-//!    stage times belong to each engine and restart with it, since a
-//!    reload may change the architecture);
-//! 2. the entry's current-version pointer is atomically swapped to it —
-//!    new submissions land on the new engine from this instant;
-//! 3. the retiring scheduler drains on a background thread: its
-//!    `shutdown()` answers every request already queued, so **zero
-//!    requests are dropped** — each one is answered by the engine version
-//!    that accepted it.
-//!
-//! A submitter that loses the race (clones the old version, then the swap
-//! lands and the old queue refuses with
-//! [`ServeError::ShuttingDown`](crate::ServeError)) gets its payload and
-//! completion callback back and retries on the new version. That retry
-//! loop lives in [`ModelEntry::submit_with`] only: the blocking
-//! [`ModelEntry::predict`] queues a channel-backed callback through it and
-//! waits. The registry itself is append-only, so the entry indices the
+//! A [`ModelEntry`] is a stable *name* with one [`BatchScheduler`] for
+//! its whole life; a reload ([`ModelEntry::reload_runner`], HTTP
+//! `POST /models/{name}/reload`) swaps the engine inside that scheduler.
+//! The swap and the new version number are one step under the queue
+//! lock: requests admitted from that instant go to the new engine, and
+//! requests already queued are still answered by the engine that
+//! admitted them, so **zero requests are dropped** — even when the new
+//! engine takes a different input length. Request counters and
+//! latency/batch-size histograms belong to the scheduler and continue
+//! across versions; per-layer stage times belong to each engine and
+//! restart with it. Shutting the entry down drains every queued request,
+//! whichever engine admitted it, and a later reload does not reopen it.
+//! The registry itself is append-only, so the entry indices the
 //! event-loop front end carries through asynchronous completions stay
 //! valid across reloads and live registrations.
 
 use crate::error::ServeError;
-use crate::scheduler::{
-    BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig, Ticket,
-};
+use crate::scheduler::{BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig};
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::FrozenEngine;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Poison-tolerant shared lock (a panicked worker must not wedge serving).
@@ -101,25 +89,11 @@ impl ModelSource {
     }
 }
 
-/// One immutable generation of a served model: an engine (or test runner)
-/// plus the scheduler feeding it. Replaced wholesale on reload.
-struct ModelVersion {
-    runner: Arc<dyn BatchRunner>,
-    scheduler: BatchScheduler,
-    version: u64,
-}
-
-/// One served model *name*: stable identity, per-model stats, and a
-/// swappable current engine version. See the module docs for the
-/// reload protocol.
+/// One served model *name*: stable identity and the one scheduler that
+/// serves it, whose engine a reload swaps. See the module docs.
 pub struct ModelEntry {
     name: String,
-    config: SchedulerConfig,
-    stats: Arc<ServeStats>,
-    current: RwLock<Arc<ModelVersion>>,
-    /// Latest version number handed out (the current version's, except
-    /// transiently during a swap).
-    versions: AtomicU64,
+    scheduler: BatchScheduler,
     source: Mutex<Option<ModelSource>>,
 }
 
@@ -134,20 +108,7 @@ impl std::fmt::Debug for ModelEntry {
 
 impl ModelEntry {
     fn start(name: String, runner: Arc<dyn BatchRunner>, config: SchedulerConfig) -> Self {
-        let stats = Arc::new(ServeStats::new());
-        let scheduler = BatchScheduler::start_with_stats(
-            Arc::clone(&runner),
-            config.clone(),
-            Arc::clone(&stats),
-        );
-        Self {
-            name,
-            config,
-            stats,
-            current: RwLock::new(Arc::new(ModelVersion { runner, scheduler, version: 1 })),
-            versions: AtomicU64::new(1),
-            source: Mutex::new(None),
-        }
+        Self { name, scheduler: BatchScheduler::start(runner, config), source: Mutex::new(None) }
     }
 
     /// The name the model serves under.
@@ -158,37 +119,33 @@ impl ModelEntry {
     /// The currently served engine generation, starting at 1 and
     /// incremented by every reload.
     pub fn version(&self) -> u64 {
-        // ordering: Relaxed — pairs with the fetch_add in
-        // `reload_runner`. The counter is a label, not a guard: anyone
-        // needing the version *and* its engine coherently reads both out
-        // of the `current` RwLock, which orders the publication.
-        self.versions.load(Ordering::Relaxed)
+        self.scheduler.runner().1
     }
 
     /// The current batch runner (a [`FrozenEngine`] in production).
     pub fn runner(&self) -> Arc<dyn BatchRunner> {
-        Arc::clone(&read(&self.current).runner)
+        self.scheduler.runner().0
     }
 
-    /// Live counters (shared across engine versions; stage times are
+    /// Live counters (continuous across engine versions; stage times are
     /// per runner, [`BatchRunner::stage_times`]).
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.scheduler.stats()
     }
 
     /// The live stats store itself — histograms included.
     pub fn serve_stats(&self) -> &ServeStats {
-        &self.stats
+        self.scheduler.serve_stats()
     }
 
-    /// Requests waiting in the current version's queue (advisory).
+    /// Requests waiting in the model's queue (advisory).
     pub fn queue_len(&self) -> usize {
-        read(&self.current).scheduler.queue_len()
+        self.scheduler.queue_len()
     }
 
-    /// The scheduler configuration every version runs with.
+    /// The model's scheduler configuration.
     pub fn config(&self) -> &SchedulerConfig {
-        &self.config
+        self.scheduler.config()
     }
 
     /// The snapshot file backing this model, when known.
@@ -202,79 +159,31 @@ impl ModelEntry {
         *lock(&self.source) = Some(ModelSource { path: path.into(), mode });
     }
 
-    /// Submits one request and waits for the answer. It queues a
-    /// callback that sends into a [`Ticket`] through
-    /// [`ModelEntry::submit_with`], so it rides out an engine swap the
-    /// same way.
+    /// Submits one request and waits for the answer.
     ///
     /// # Errors
     ///
-    /// As for [`BatchScheduler::submit`]; [`ServeError::ShuttingDown`]
-    /// only when the whole entry is shutting down for good.
+    /// As for [`BatchScheduler::predict`].
     pub fn predict(&self, input: Vec<f32>) -> Result<Prediction, ServeError> {
-        let (complete, ticket) = Ticket::pair();
-        self.submit_with(input, complete)?;
-        ticket.wait()
+        self.scheduler.predict(input)
     }
 
     /// Submits one request whose answer `complete` receives on a worker
-    /// thread (the event-loop front end), riding out an engine swap: if
-    /// the grabbed version starts draining before the request is queued,
-    /// the payload and callback come back and are resubmitted to the
-    /// replacement version — no request is dropped by a reload.
+    /// thread (the event-loop front end).
     ///
     /// # Errors
     ///
     /// As for [`BatchScheduler::submit_with`]. On error the callback has
     /// not been invoked.
     pub fn submit_with(&self, input: Vec<f32>, complete: Complete) -> Result<(), ServeError> {
-        let mut pair = (input, complete);
-        loop {
-            let version = Arc::clone(&read(&self.current));
-            match version.scheduler.try_submit_with(pair.0, pair.1) {
-                Ok(()) => return Ok(()),
-                Err((ServeError::ShuttingDown, input, complete))
-                    if self.version() > version.version =>
-                {
-                    // Lost the race against a reload; go again on the
-                    // replacement.
-                    pair = (input, complete);
-                }
-                Err((e, _, _)) => return Err(e),
-            }
-        }
+        self.scheduler.submit_with(input, complete)
     }
 
-    /// Blue/green engine swap (see the module docs): starts a fresh
-    /// scheduler over `runner`, atomically makes it current, and drains
-    /// the retiring scheduler on a background thread. Returns the new
-    /// version number. Requests already queued on the old version are
-    /// answered by the old engine; nothing is dropped.
+    /// Swaps `runner` in as the engine new requests go to and returns its
+    /// version number. Requests already queued are answered by the
+    /// engine that admitted them; nothing is dropped.
     pub fn reload_runner(&self, runner: Arc<dyn BatchRunner>) -> u64 {
-        let scheduler = BatchScheduler::start_with_stats(
-            Arc::clone(&runner),
-            self.config.clone(),
-            Arc::clone(&self.stats),
-        );
-        // ordering: Relaxed — the RMW's atomicity alone guarantees a
-        // unique version number; the swap below publishes the new
-        // `ModelVersion` (which embeds the number) through the `current`
-        // RwLock's release/acquire.
-        let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        let fresh = Arc::new(ModelVersion { runner, scheduler, version });
-        let old = std::mem::replace(&mut *write(&self.current), fresh);
-        // Drain off the request path. If the spawn itself fails the
-        // closure is dropped here, and dropping the old version's
-        // scheduler shuts it down inline — slower, still zero-drop.
-        let _ = std::thread::Builder::new()
-            .name("pecan-drain".into())
-            .spawn(move || old.scheduler.shutdown());
-        version
-    }
-
-    /// [`ModelEntry::reload_runner`] with a [`FrozenEngine`].
-    pub fn reload_engine(&self, engine: Arc<FrozenEngine>) -> u64 {
-        self.reload_runner(engine as Arc<dyn BatchRunner>)
+        self.scheduler.replace_runner(runner)
     }
 
     /// Re-reads the snapshot file recorded by [`ModelEntry::set_source`]
@@ -294,12 +203,12 @@ impl ModelEntry {
             ))
         })?;
         let engine = source.load()?;
-        Ok(self.reload_engine(Arc::new(engine)))
+        Ok(self.reload_runner(Arc::new(engine)))
     }
 
-    /// Stops the current scheduler, draining queued requests.
+    /// Stops the scheduler, draining every queued request.
     fn shutdown(&self) {
-        read(&self.current).scheduler.shutdown();
+        self.scheduler.shutdown();
     }
 }
 
@@ -613,7 +522,7 @@ mod tests {
 
         // Same weights, new generation: answers stay bit-identical and
         // the counters continue rather than reset.
-        let v = entry.reload_engine(Arc::new(demo::mlp_engine(1)));
+        let v = entry.reload_runner(Arc::new(demo::mlp_engine(1)));
         assert_eq!(v, 2);
         assert_eq!(entry.version(), 2);
         let after = entry.predict(input.clone()).unwrap();
@@ -621,7 +530,7 @@ mod tests {
         assert_eq!(entry.stats().completed, 2, "stats survive the swap");
 
         // Different weights change the answer — proof the swap took.
-        entry.reload_engine(Arc::new(demo::mlp_engine(7)));
+        entry.reload_runner(Arc::new(demo::mlp_engine(7)));
         let changed = entry.predict(input).unwrap();
         assert_ne!(changed.output, before.output);
         r.shutdown();

@@ -19,6 +19,17 @@
 //! [`BatchScheduler::predict`] queue a callback that sends into the
 //! channel their [`Ticket`] waits on.
 //!
+//! # One scheduler per model
+//!
+//! A served model keeps one scheduler for its whole life, and a reload
+//! ([`ModelEntry::reload_runner`](crate::ModelEntry::reload_runner))
+//! swaps the [`BatchRunner`] inside it. The runner and its generation
+//! sit under the queue lock, so a swap and its version number are one
+//! step. Each request is checked against, and carries, the runner that
+//! admitted it, and a batch never mixes runners, so queued requests are
+//! answered by their own engine even when the new one takes another
+//! input length.
+//!
 //! # Thread-pool note (ROADMAP "per-call pool reuse")
 //!
 //! The serving hot path performs **zero thread spawns per request**: the
@@ -134,22 +145,25 @@ pub type Complete = Box<dyn FnOnce(Result<Prediction, ServeError>) + Send>;
 struct Request {
     input: Vec<f32>,
     submitted: Instant,
+    /// The runner current when the request was admitted; it answers it.
+    runner: Arc<dyn BatchRunner>,
     complete: Complete,
 }
 
 struct QueueState {
     queue: VecDeque<Request>,
+    /// The runner new requests are admitted to, and its generation
+    /// (1 at start, +1 per `replace_runner`).
+    runner: Arc<dyn BatchRunner>,
+    generation: u64,
     shutdown: bool,
 }
 
 struct Shared {
-    runner: Arc<dyn BatchRunner>,
     config: SchedulerConfig,
     state: Mutex<QueueState>,
     cvar: Condvar,
-    // Shared (`Arc`) so a model's counters survive blue/green engine
-    // swaps: the registry hands each replacement scheduler the same store.
-    stats: Arc<ServeStats>,
+    stats: ServeStats,
 }
 
 /// A claim on a submitted request; redeem it with [`Ticket::wait`].
@@ -161,7 +175,7 @@ pub struct Ticket {
 impl Ticket {
     /// A blocking reply: the callback sends into the channel the ticket
     /// waits on.
-    pub(crate) fn pair() -> (Complete, Ticket) {
+    fn pair() -> (Complete, Ticket) {
         let (tx, rx) = mpsc::channel();
         // A dropped receiver means the client went away; nothing to do.
         let complete: Complete = Box::new(move |result| drop(tx.send(result)));
@@ -211,28 +225,20 @@ impl BatchScheduler {
     ///
     /// Invalid knobs are clamped to sane floors (`max_batch`, `workers`,
     /// `queue_capacity` ≥ 1) rather than rejected.
-    pub fn start(runner: Arc<dyn BatchRunner>, config: SchedulerConfig) -> Self {
-        Self::start_with_stats(runner, config, Arc::default())
-    }
-
-    /// As [`BatchScheduler::start`], recording into an existing stats
-    /// store — the registry's hot-reload path passes the retiring
-    /// scheduler's store so per-model counters and histograms continue
-    /// across the engine swap instead of resetting to zero.
-    pub fn start_with_stats(
-        runner: Arc<dyn BatchRunner>,
-        mut config: SchedulerConfig,
-        stats: Arc<ServeStats>,
-    ) -> Self {
+    pub fn start(runner: Arc<dyn BatchRunner>, mut config: SchedulerConfig) -> Self {
         config.max_batch = config.max_batch.max(1);
         config.workers = config.workers.max(1);
         config.queue_capacity = config.queue_capacity.max(1);
         let shared = Arc::new(Shared {
-            runner,
             config: config.clone(),
-            state: Mutex::new(QueueState { queue: VecDeque::new(), shutdown: false }),
+            state: Mutex::new(QueueState {
+                queue: VecDeque::new(),
+                runner,
+                generation: 1,
+                shutdown: false,
+            }),
             cvar: Condvar::new(),
-            stats,
+            stats: ServeStats::new(),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -246,6 +252,28 @@ impl BatchScheduler {
             })
             .collect();
         Self { shared, workers: Mutex::new(workers) }
+    }
+
+    /// The runner new requests are admitted to, and its generation
+    /// (1 at start, +1 per [`BatchScheduler::replace_runner`]).
+    pub(crate) fn runner(&self) -> (Arc<dyn BatchRunner>, u64) {
+        let state = lock(&self.shared.state);
+        (Arc::clone(&state.runner), state.generation)
+    }
+
+    /// Swaps the runner new requests are admitted to and returns its
+    /// generation. Requests already queued keep the runner that admitted
+    /// them. Swap and generation are one critical section, so the
+    /// highest generation handed out always names the runner serving.
+    pub(crate) fn replace_runner(&self, runner: Arc<dyn BatchRunner>) -> u64 {
+        let mut state = lock(&self.shared.state);
+        let old = std::mem::replace(&mut state.runner, runner);
+        state.generation += 1;
+        let generation = state.generation;
+        drop(state);
+        // A retired engine with nothing queued is freed here, off the lock.
+        drop(old);
+        generation
     }
 
     /// The configuration the scheduler runs with (after clamping).
@@ -292,45 +320,25 @@ impl BatchScheduler {
     /// As for [`BatchScheduler::submit`]. On error the callback is **not**
     /// invoked — the caller still holds the error synchronously.
     pub fn submit_with(&self, input: Vec<f32>, complete: Complete) -> Result<(), ServeError> {
-        self.try_submit_with(input, complete).map_err(|(e, _, _)| e)
-    }
-
-    /// As [`BatchScheduler::submit_with`], but a rejection hands both the
-    /// input and the callback back with the error, so the registry's
-    /// hot-reload retry can resubmit them to the replacement scheduler
-    /// without cloning the payload.
-    ///
-    /// # Errors
-    ///
-    /// As for [`BatchScheduler::submit`], paired with the unqueued input
-    /// and the uninvoked callback.
-    #[allow(clippy::result_large_err, clippy::type_complexity)]
-    pub(crate) fn try_submit_with(
-        &self,
-        input: Vec<f32>,
-        complete: Complete,
-    ) -> Result<(), (ServeError, Vec<f32>, Complete)> {
-        let want = self.shared.runner.input_len();
-        if input.len() != want {
-            let e = ServeError::BadInput(format!(
-                "request has {} values, engine expects {want}",
-                input.len()
-            ));
-            return Err((e, input, complete));
-        }
         {
             let mut state = lock(&self.shared.state);
+            let want = state.runner.input_len();
+            if input.len() != want {
+                drop(state);
+                return Err(ServeError::BadInput(format!(
+                    "request has {} values, engine expects {want}",
+                    input.len()
+                )));
+            }
             if state.shutdown {
-                return Err((ServeError::ShuttingDown, input, complete));
+                return Err(ServeError::ShuttingDown);
             }
             if state.queue.len() >= self.shared.config.queue_capacity {
                 self.shared.stats.record_rejected();
-                let e = ServeError::Overloaded {
-                    capacity: self.shared.config.queue_capacity,
-                };
-                return Err((e, input, complete));
+                return Err(ServeError::Overloaded { capacity: self.shared.config.queue_capacity });
             }
-            state.queue.push_back(Request { input, submitted: Instant::now(), complete });
+            let runner = Arc::clone(&state.runner);
+            state.queue.push_back(Request { input, submitted: Instant::now(), runner, complete });
         }
         self.shared.stats.record_submitted();
         self.shared.cvar.notify_one();
@@ -427,10 +435,18 @@ fn worker_loop(shared: &Shared) {
         }
         // With several workers, a sibling may have drained the queue while
         // this worker lingered with the lock released — nothing to run.
-        if state.queue.is_empty() {
+        let Some(front) = state.queue.front() else {
             continue;
-        }
-        let take = state.queue.len().min(config.max_batch);
+        };
+        // A batch never mixes engines: it is the leading requests that
+        // share the front request's runner, which then answers them.
+        let runner = Arc::clone(&front.runner);
+        let take = state
+            .queue
+            .iter()
+            .take(config.max_batch)
+            .take_while(|r| Arc::ptr_eq(&r.runner, &runner))
+            .count();
         let mut batch: Vec<Request> = state.queue.drain(..take).collect();
         let more_waiting = !state.queue.is_empty();
         drop(state);
@@ -452,7 +468,7 @@ fn worker_loop(shared: &Shared) {
         // would wait forever. Contain it and answer the batch with an
         // error instead.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.runner.run_batch(&inputs)
+            runner.run_batch(&inputs)
         }))
         .unwrap_or_else(|_| {
             crate::log_error!(
@@ -523,7 +539,7 @@ mod tests {
         assert_eq!(s.stats().submitted, 0);
         s.shutdown();
         assert!(matches!(
-            s.submit(vec![0.0; s.shared.runner.input_len()]),
+            s.submit(vec![0.0; s.runner().0.input_len()]),
             Err(ServeError::ShuttingDown)
         ));
     }

@@ -1,6 +1,6 @@
 //! Graceful overload: load-aware 503 shedding, the hard connection cap,
-//! and the drain guarantee — no in-flight request is dropped by
-//! `/shutdown`.
+//! the server-wide cap on blocking jobs (reloads, trace captures), and the
+//! drain guarantee — no in-flight request is dropped by `/shutdown`.
 //!
 //! The scheduler is made deterministic with a `GatedRunner`: a
 //! [`BatchRunner`] double (plugged in through
@@ -137,7 +137,7 @@ fn read_response(s: &mut TcpStream) -> String {
 #[test]
 fn queue_pressure_sheds_with_typed_503() {
     for event_loop in front_end_flags() {
-        // queue_capacity 4, shed_fraction 0.9 → shedding from depth 3.
+        // queue_capacity 4, SHED_FRACTION 0.9 → shedding from depth 3.
         let gated = start_gated(event_loop, 4);
         let server = &gated.server;
 
@@ -233,6 +233,49 @@ fn connection_cap_sheds_new_sockets() {
         next.write_all(healthz).expect("write");
         let response = read_response(&mut next);
         assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        server.stop();
+    }
+}
+
+/// The blocking-job cap: four `/debug/trace` captures hold every slot, so
+/// a fifth blocking request — a reload — is refused with a typed 503 at
+/// once instead of starting another thread. Once the captures answer,
+/// their slots are free again.
+#[test]
+fn blocking_jobs_beyond_the_cap_are_shed_with_503() {
+    for event_loop in front_end_flags() {
+        let gated = start_gated(event_loop, 8);
+        let server = &gated.server;
+        let mut captures: Vec<TcpStream> = (0..4)
+            .map(|_| {
+                let mut s = connect(server);
+                s.write_all(b"GET /debug/trace?ms=2000 HTTP/1.1\r\n\r\n").expect("write");
+                s
+            })
+            .collect();
+        // A connection is "handling" only once its job was routed, so
+        // this means all four slots are claimed.
+        wait_for_stats(server, "four captures running", |st| st.handling == 4);
+
+        let started = Instant::now();
+        let mut reload = connect(server);
+        reload.write_all(b"POST /reload HTTP/1.1\r\nContent-Length: 0\r\n\r\n").expect("write");
+        let response = read_response(&mut reload);
+        let waited = started.elapsed();
+        assert!(response.starts_with("HTTP/1.1 503 "), "expected cap 503: {response}");
+        assert!(response.contains("\r\nRetry-After: 1\r\n"), "503 must carry Retry-After");
+        assert!(response.contains("too many blocking requests in flight"), "{response}");
+        assert!(waited < Duration::from_secs(1), "shed at once, not queued: {waited:?}");
+
+        for s in &mut captures {
+            let answer = read_response(s);
+            assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "capture: {answer}");
+        }
+        let mut probe = connect(server);
+        probe.write_all(b"GET /debug/trace?ms=1 HTTP/1.1\r\n\r\n").expect("write");
+        let answer = read_response(&mut probe);
+        assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "slots released: {answer}");
+        assert_eq!(server.conn_stats().shed_requests, 1);
         server.stop();
     }
 }

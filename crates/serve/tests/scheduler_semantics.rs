@@ -9,10 +9,15 @@
 //! * **micro-batching**: queued requests actually coalesce into one batch;
 //! * **one completion per request**: `submit_with`'s callback runs exactly
 //!   once for every queued request — answered, failed or drained — and
-//!   never for a synchronous rejection.
+//!   never for a synchronous rejection;
+//! * **the reload contract** (through `EngineRegistry` and
+//!   `ModelEntry::reload_runner`): queued requests are answered by the
+//!   engine that admitted them, shutdown waits for them, a reload never
+//!   reopens a shut-down model, and the newest version is the one serving.
 
 use pecan_serve::{
-    demo, BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig, ServeError,
+    demo, BatchRunner, BatchScheduler, Complete, EngineRegistry, Prediction, SchedulerConfig,
+    ServeError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,8 +27,11 @@ use std::time::Duration;
 
 /// A runner that blocks inside `run_batch` until the test releases it —
 /// makes "worker busy, queue full" states deterministic instead of timing
-/// dependent. A negative input fails its whole batch.
+/// dependent. It answers `2·Σx`. A negative input, or one of another
+/// width than its own, fails its whole batch.
 struct GatedRunner {
+    /// Values each request carries.
+    width: usize,
     /// Signals each `run_batch` entry.
     entered: mpsc::Sender<usize>,
     /// One `recv` per `run_batch` call is needed to proceed.
@@ -33,9 +41,14 @@ struct GatedRunner {
 
 impl GatedRunner {
     fn new() -> (Arc<Self>, mpsc::Receiver<usize>, mpsc::Sender<()>) {
+        Self::with_width(1)
+    }
+
+    fn with_width(width: usize) -> (Arc<Self>, mpsc::Receiver<usize>, mpsc::Sender<()>) {
         let (entered_tx, entered_rx) = mpsc::channel();
         let (gate_tx, gate_rx) = mpsc::channel();
         let runner = Arc::new(Self {
+            width,
             entered: entered_tx,
             gate: Mutex::new(gate_rx),
             calls: AtomicUsize::new(0),
@@ -46,7 +59,7 @@ impl GatedRunner {
 
 impl BatchRunner for GatedRunner {
     fn input_len(&self) -> usize {
-        1
+        self.width
     }
     fn output_len(&self) -> usize {
         1
@@ -56,11 +69,48 @@ impl BatchRunner for GatedRunner {
         let _ = self.entered.send(inputs.len());
         // Hold until released; a closed gate (test ended) just proceeds.
         let _ = self.gate.lock().unwrap().recv();
+        if inputs.iter().any(|v| v.len() != self.width) {
+            return Err(ServeError::Engine("input of another engine's width".into()));
+        }
         if inputs.iter().any(|v| v[0] < 0.0) {
             return Err(ServeError::Engine("negative input".into()));
         }
-        Ok(inputs.iter().map(|v| vec![v[0] * 2.0]).collect())
+        Ok(inputs.iter().map(|v| vec![v.iter().sum::<f32>() * 2.0]).collect())
     }
+}
+
+/// A runner that answers every request with its own tag.
+struct TagRunner(f32);
+
+impl BatchRunner for TagRunner {
+    fn input_len(&self) -> usize {
+        1
+    }
+    fn output_len(&self) -> usize {
+        1
+    }
+    fn run_batch(&self, inputs: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, ServeError> {
+        Ok(inputs.iter().map(|_| vec![self.0]).collect())
+    }
+}
+
+/// One worker, no lingering: a batch is whatever is queued when the
+/// worker looks.
+fn one_worker() -> SchedulerConfig {
+    SchedulerConfig { max_batch: 8, max_wait: Duration::ZERO, queue_capacity: 16, workers: 1 }
+}
+
+type Answers = mpsc::Receiver<(usize, Result<Prediction, ServeError>)>;
+
+/// A callback factory whose callbacks forward their answer tagged, and
+/// the stream they forward into.
+fn tagged_answers() -> (impl Fn(usize) -> Complete, Answers) {
+    let (tx, rx) = mpsc::channel();
+    let callback = move |tag: usize| -> Complete {
+        let tx = tx.clone();
+        Box::new(move |result| drop(tx.send((tag, result))))
+    };
+    (callback, rx)
 }
 
 #[test]
@@ -257,11 +307,7 @@ fn completion_callback_runs_once_per_queued_request_and_never_on_rejection() {
     ));
     // Request `tag`'s callback forwards its answer, tagged; being
     // `FnOnce`, it can forward at most once.
-    let (answers_tx, answers) = mpsc::channel::<(usize, Result<Prediction, ServeError>)>();
-    let callback = |tag: usize| -> Complete {
-        let answers_tx = answers_tx.clone();
-        Box::new(move |result| drop(answers_tx.send((tag, result))))
-    };
+    let (callback, answers) = tagged_answers();
 
     // 0: wrong length, rejected before queueing.
     let bad = scheduler.submit_with(vec![1.0, 2.0], callback(0));
@@ -298,7 +344,7 @@ fn completion_callback_runs_once_per_queued_request_and_never_on_rejection() {
     }
     shutdown.join().unwrap();
     // Every callback has now run or been dropped, so this ends the stream.
-    drop(answers_tx);
+    drop(callback);
 
     let answered: Vec<(usize, Result<Prediction, ServeError>)> = answers.iter().collect();
     let tags: Vec<usize> = answered.iter().map(|(tag, _)| *tag).collect();
@@ -308,4 +354,115 @@ fn completion_callback_runs_once_per_queued_request_and_never_on_rejection() {
     assert_eq!(answered[2].1.as_ref().unwrap().output, vec![6.0], "drained by shutdown");
     let stats = scheduler.stats();
     assert_eq!((stats.submitted, stats.completed, stats.failed), (3, 2, 1));
+}
+
+#[test]
+fn queued_requests_are_answered_by_the_engine_that_admitted_them() {
+    let (a, a_entered, a_gate) = GatedRunner::with_width(1);
+    let (b, b_entered, b_gate) = GatedRunner::with_width(2);
+    drop(b_gate); // B runs freely
+    let registry = EngineRegistry::new();
+    registry.register_runner_as("m", a, one_worker()).unwrap();
+    let entry = registry.resolve(Some("m")).unwrap();
+    let (callback, answers) = tagged_answers();
+
+    // A holds the first request inside `run_batch`; two more queue.
+    entry.submit_with(vec![1.0], callback(1)).unwrap();
+    assert_eq!(a_entered.recv().unwrap(), 1);
+    entry.submit_with(vec![2.0], callback(2)).unwrap();
+    entry.submit_with(vec![3.0], callback(3)).unwrap();
+
+    // Swap in B, which takes two values; new requests must fit B.
+    assert_eq!(entry.reload_runner(b), 2);
+    entry.submit_with(vec![3.0, 4.0], callback(4)).unwrap();
+    let stale = entry.submit_with(vec![5.0], callback(5));
+    assert!(matches!(stale, Err(ServeError::BadInput(_))), "{stale:?}");
+
+    // Released, A answers its own two queued requests in one batch; B's
+    // request rides alone in B.
+    drop(a_gate);
+    assert_eq!(a_entered.recv().unwrap(), 2, "A's queued requests, and only those");
+    assert_eq!(b_entered.recv().unwrap(), 1);
+    let mut got: Vec<(usize, Vec<f32>)> =
+        (0..4).map(|_| answers.recv().unwrap()).map(|(t, r)| (t, r.unwrap().output)).collect();
+    got.sort_by_key(|(tag, _)| *tag);
+    let want = [(1, vec![2.0]), (2, vec![4.0]), (3, vec![6.0]), (4, vec![14.0])];
+    assert_eq!(got, want.to_vec());
+    assert_eq!(entry.version(), 2);
+    let stats = entry.stats();
+    assert_eq!((stats.submitted, stats.completed, stats.failed), (4, 4, 0));
+    registry.shutdown();
+}
+
+#[test]
+fn shutdown_after_a_reload_waits_for_requests_the_old_engine_admitted() {
+    let (a, a_entered, a_gate) = GatedRunner::with_width(1);
+    let registry = Arc::new(EngineRegistry::new());
+    registry.register_runner_as("m", a, one_worker()).unwrap();
+    let entry = registry.resolve(Some("m")).unwrap();
+    let (callback, answers) = tagged_answers();
+
+    // A holds one request and has another queued; then B takes over.
+    entry.submit_with(vec![1.0], callback(1)).unwrap();
+    assert_eq!(a_entered.recv().unwrap(), 1);
+    entry.submit_with(vec![2.0], callback(2)).unwrap();
+    entry.reload_runner(Arc::new(TagRunner(-1.0)));
+
+    let shutdown = {
+        let registry = Arc::clone(&registry);
+        std::thread::spawn(move || registry.shutdown())
+    };
+    std::thread::sleep(Duration::from_millis(200));
+    let returned_early = shutdown.is_finished();
+    drop(a_gate); // release A before asserting, so a failure cannot hang
+    shutdown.join().unwrap();
+    assert!(!returned_early, "shutdown returned while A still held admitted requests");
+    let mut got: Vec<(usize, Vec<f32>)> =
+        (0..2).map(|_| answers.recv().unwrap()).map(|(t, r)| (t, r.unwrap().output)).collect();
+    got.sort_by_key(|(tag, _)| *tag);
+    assert_eq!(got, vec![(1, vec![2.0]), (2, vec![4.0])]);
+}
+
+#[test]
+fn a_reload_after_shutdown_does_not_reopen_the_model() {
+    let registry = EngineRegistry::new();
+    registry.register_runner_as("m", Arc::new(TagRunner(1.0)), one_worker()).unwrap();
+    let entry = registry.resolve(Some("m")).unwrap();
+    registry.shutdown();
+    entry.reload_runner(Arc::new(TagRunner(2.0)));
+    let answer = entry.predict(vec![0.0]);
+    assert!(matches!(answer, Err(ServeError::ShuttingDown)), "{answer:?}");
+}
+
+#[test]
+fn concurrent_reloads_leave_the_newest_version_serving() {
+    let (threads, per_thread) = (4u64, 25u64);
+    for _ in 0..10 {
+        let registry = EngineRegistry::new();
+        registry.register_runner_as("m", Arc::new(TagRunner(0.0)), one_worker()).unwrap();
+        let entry = registry.resolve(Some("m")).unwrap();
+        // Each reload installs a runner answering its own tag and records
+        // the version it was handed.
+        let handed: Vec<(u64, f32)> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let entry = &entry;
+                    s.spawn(move || {
+                        (0..per_thread)
+                            .map(|i| {
+                                let tag = (t * per_thread + i + 1) as f32;
+                                (entry.reload_runner(Arc::new(TagRunner(tag))), tag)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().unwrap()).collect()
+        });
+        let (newest, tag) = handed.iter().copied().max_by_key(|(v, _)| *v).unwrap();
+        assert_eq!(newest, 1 + threads * per_thread);
+        assert_eq!(entry.version(), newest, "version() names the newest swap");
+        assert_eq!(entry.predict(vec![0.0]).unwrap().output, vec![tag], "and it serves");
+        registry.shutdown();
+    }
 }
