@@ -7,9 +7,10 @@
 //!
 //! Op-count columns come from the paper-scale architecture plans and match
 //! the paper exactly; accuracy columns are measured on reduced-scale models
-//! over synthetic stand-in datasets (see `DESIGN.md` §2 and
-//! `EXPERIMENTS.md` for paper-vs-measured). Output is markdown, echoed to
-//! stdout and written to `results/<id>.md`.
+//! over synthetic stand-in datasets (the `pecan-datasets` crate docs give
+//! the substitution argument). Output is markdown, echoed to stdout and
+//! written to `results/<id>.md`, where each accuracy cell reads
+//! `measured (paper)`.
 //!
 //! Tables are generated concurrently on the workspace's scoped thread pool
 //! (`PECAN_NUM_THREADS` workers; default `available_parallelism`, capped) —

@@ -4,7 +4,8 @@
 //! Op-count columns of the paper's tables are reproduced **exactly** from
 //! the paper-scale architecture plans (`pecan_core::configs`); accuracy
 //! columns are **measured** by training reduced-width models on synthetic
-//! stand-in datasets (see `DESIGN.md` §2 for the substitution argument).
+//! stand-in datasets (the `pecan-datasets` crate docs give the
+//! substitution argument).
 //! Helpers here keep those runs small enough for a laptop while exercising
 //! the full PECAN code path (im2col → PQ assignment → LUT → backprop).
 

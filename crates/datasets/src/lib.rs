@@ -10,8 +10,8 @@
 //! * **synthetic stand-ins** ([`synthetic_mnist`], [`synthetic_cifar`],
 //!   [`synthetic_tiny_imagenet`]) with the same shapes, class structure and
 //!   label semantics, generated procedurally so the full experiment suite
-//!   runs on a machine without the datasets. The substitution is recorded
-//!   in `DESIGN.md` §2: PECAN's claims are *relative* accuracies between
+//!   runs on a machine without the datasets. The substitution holds
+//!   because PECAN's claims are *relative* accuracies between
 //!   baseline / PECAN-A / PECAN-D on the same data, which the synthetic
 //!   tasks exercise through identical code paths;
 //! * batching/shuffling and light augmentation ([`make_batches`],

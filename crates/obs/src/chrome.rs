@@ -14,7 +14,7 @@
 //! str` identifiers and thread labels are generated, so the only
 //! escaping JSON requires is the conservative string escape below.
 
-use crate::span::{collect_spans, now_ns, set_tracing, tracing_enabled, SpanRecord};
+use crate::span::{collect_spans, now_ns, CaptureWindow, SpanRecord};
 use std::time::Duration;
 
 /// Exports every span recorded so far (up to ring capacity) as Chrome
@@ -25,16 +25,17 @@ pub fn dump_all_json() -> String {
 
 /// Records spans for `window`, then exports exactly the spans that ran
 /// fully inside it. Backs `GET /debug/trace?ms=N`: tracing is forced on
-/// for the window and restored to its previous state afterwards, so a
-/// capture against an untraced server is self-contained. Blocks the
+/// for the window on top of the base flag ([`crate::set_tracing`]), so a
+/// capture against an untraced server is self-contained, and captures
+/// may overlap — each records its whole window, and once the last one
+/// returns recording is back to what the base flag says. Blocks the
 /// calling thread for the window.
 pub fn capture_window_json(window: Duration) -> String {
-    let was_enabled = tracing_enabled();
-    set_tracing(true);
+    let capture = CaptureWindow::open();
     let since = now_ns();
     std::thread::sleep(window);
     let until = now_ns();
-    set_tracing(was_enabled);
+    drop(capture);
     export_range_json(since, until)
 }
 
@@ -128,6 +129,34 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{set_tracing, span, test_gate, tracing_enabled};
+
+    /// Capture A runs 100 ms; capture B starts ~20 ms later and runs
+    /// 800 ms. A span a background thread opens 100 ms after A returned
+    /// lands in B, and once both return the flag is what `set_tracing`
+    /// made it — off, or on as `serve --trace-file` leaves it.
+    #[test]
+    fn overlapping_captures_record_their_windows_and_keep_the_base_flag() {
+        let _gate = test_gate();
+        for base in [false, true] {
+            set_tracing(base);
+            let a = std::thread::spawn(|| capture_window_json(Duration::from_millis(100)));
+            std::thread::sleep(Duration::from_millis(20));
+            let after_a = std::thread::spawn(move || {
+                a.join().expect("capture A");
+                std::thread::sleep(Duration::from_millis(100));
+                let _s = span("test.after_capture_a");
+            });
+            let b = capture_window_json(Duration::from_millis(800));
+            after_a.join().expect("background span");
+            assert!(
+                b.contains("\"test.after_capture_a\""),
+                "capture B lost the span begun after A returned (base flag {base}):\n{b}"
+            );
+            assert_eq!(tracing_enabled(), base, "captures changed the base flag");
+        }
+        set_tracing(false);
+    }
 
     #[test]
     fn ts_us_keeps_nanosecond_precision() {

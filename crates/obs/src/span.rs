@@ -45,25 +45,71 @@ pub const RING_EVENTS: usize = 4096;
 /// than growing memory without bound.
 const MAX_RINGS: usize = 256;
 
+/// Whether spans record: `base || captures > 0` over [`CONTROL`].
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// True when span tracing is recording. One relaxed load — this is the
-/// only thing a disabled [`span`] call does.
+/// What [`ENABLED`] is computed from: the base flag [`set_tracing`] sets,
+/// and how many [`CaptureWindow`]s are open. Both change only under this
+/// lock, which recomputes `ENABLED`, so overlapping capture windows
+/// cannot switch tracing off under one another or leave it on for good.
+static CONTROL: Mutex<(bool, usize)> = Mutex::new((false, 0));
+
+/// Applies `change` to the base flag and the open-capture count, then
+/// recomputes [`ENABLED`].
+fn control(change: impl FnOnce(&mut bool, &mut usize)) {
+    let mut guard = CONTROL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (base, captures) = &mut *guard;
+    change(base, captures);
+    // ordering: Relaxed — see `tracing_enabled`; the lock orders the
+    // writers, so the last store always reflects the latest inputs.
+    ENABLED.store(*base || *captures > 0, Ordering::Relaxed);
+}
+
+/// True when span tracing is recording: the base flag is on or a
+/// capture window is open. One relaxed load — this is the only thing a
+/// disabled [`span`] call does.
 #[inline]
 pub fn tracing_enabled() -> bool {
-    // ordering: Relaxed — pairs with the Relaxed store in `set_tracing`.
+    // ordering: Relaxed — pairs with the Relaxed store in `control`.
     // The flag carries no data; ring writes are ordered by each slot's
     // seqlock word, so a late/early flag read only shifts which spans
     // get recorded, never what a reader observes.
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns span recording on or off process-wide. Spans already open keep
-/// recording to completion; spans started while off are never recorded.
+/// Turns span recording on or off process-wide (the base flag). A
+/// running capture window ([`crate::capture_window_json`]) keeps
+/// recording on until it closes, whatever this sets. Spans already open
+/// keep recording to completion; spans started while off are never
+/// recorded.
 pub fn set_tracing(enabled: bool) {
-    // ordering: Relaxed — pairs with the load in `tracing_enabled`; see
-    // there for why no ordering is needed on the flag itself.
-    ENABLED.store(enabled, Ordering::Relaxed);
+    control(|base, _| *base = enabled);
+}
+
+/// Forces span recording on while it lives, on top of the base flag:
+/// one per running capture window. Dropping the last one leaves
+/// recording as [`set_tracing`] last set it.
+pub(crate) struct CaptureWindow(());
+
+impl CaptureWindow {
+    pub(crate) fn open() -> Self {
+        control(|_, captures| *captures += 1);
+        CaptureWindow(())
+    }
+}
+
+impl Drop for CaptureWindow {
+    fn drop(&mut self) {
+        control(|_, captures| *captures -= 1);
+    }
+}
+
+/// Serializes the tests that switch the process-wide tracing flag; each
+/// leaves it off before releasing the gate.
+#[cfg(test)]
+pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: Mutex<()> = Mutex::new(());
+    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn epoch() -> &'static Instant {
@@ -408,10 +454,10 @@ mod tests {
     use super::*;
 
     // Tracing state is process-global, so every test here serializes on
-    // one lock and restores the disabled state before releasing it.
+    // the crate's test gate and restores the disabled state before
+    // releasing it.
     fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        static GATE: Mutex<()> = Mutex::new(());
-        let _gate = GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _gate = test_gate();
         set_tracing(true);
         let out = f();
         set_tracing(false);
@@ -420,6 +466,7 @@ mod tests {
 
     #[test]
     fn disabled_span_records_nothing() {
+        let _gate = test_gate();
         set_tracing(false);
         let t0 = now_ns();
         {

@@ -245,7 +245,7 @@ fn main() -> ExitCode {
         queue_capacity: args.queue_cap,
         workers: args.workers,
     };
-    let registry = Arc::new(EngineRegistry::new());
+    let registry = EngineRegistry::new();
     if let Err(e) = registry.register(Arc::new(engine), scheduler.clone()) {
         eprintln!("cannot register default model: {e}");
         return ExitCode::FAILURE;
@@ -275,7 +275,7 @@ fn main() -> ExitCode {
         pecan_serve::log_warn!("serve::bin", "event loop unsupported here; using threads");
         eprintln!("--event-loop is not supported on this platform; using threads");
     }
-    let server = match Server::start_shared(Arc::clone(&registry), config) {
+    let server = match Server::start_registry(registry, config) {
         Ok(s) => s,
         Err(e) => {
             pecan_serve::log_error!("serve::bin", "cannot bind", addr = args.addr, error = e);
@@ -289,7 +289,7 @@ fn main() -> ExitCode {
     let _watcher = args.model_dir.as_ref().map(|dir| {
         println!("watching {dir} for *.psnp models every {} ms", args.watch_interval_ms);
         ModelWatcher::start(
-            Arc::clone(&registry),
+            Arc::clone(server.registry()),
             WatcherConfig {
                 dir: dir.into(),
                 interval: Duration::from_millis(args.watch_interval_ms),

@@ -11,7 +11,7 @@
 //!
 //! 1. **Order.** Responses leave the socket in exactly the order their
 //!    requests arrived, even when inferences complete out of order: a
-//!    response slot is reserved ([`Conn::push_pending`]) at parse time and
+//!    response slot is reserved ([`Pipeline::push_pending`]) at parse time and
 //!    only the *ready prefix* of the pipeline is ever moved to the write
 //!    buffer ([`Conn::flush_ready`]). HTTP/1.1 pipelining is exactly this
 //!    guarantee.
@@ -19,7 +19,7 @@
 //!    ever perform non-blocking socket calls; `WouldBlock` is a normal
 //!    return, never an error.
 //! 3. **Bounded buffering.** The event loop stops parsing (and eventually
-//!    stops reading) once `pipeline_len()` reaches the configured cap, so
+//!    stops reading) once `pipeline.len()` reaches the configured cap, so
 //!    a client that floods requests without reading responses cannot grow
 //!    server-side buffers without bound.
 //! 4. **Monotonic teardown.** `close_after_flush` never reverts to
@@ -42,9 +42,9 @@ use std::time::Instant;
 /// One slot of the response pipeline.
 #[derive(Debug)]
 enum Slot {
-    /// Inference submitted; holds the request's keep-alive flag for
-    /// response encoding at completion time.
-    Pending { keep_alive: bool },
+    /// Inference (or a blocking job) submitted; its completion carries
+    /// everything needed to encode the answer.
+    Pending,
     /// Encoded response bytes waiting for their turn on the wire.
     Ready(Vec<u8>),
 }
@@ -67,15 +67,15 @@ impl Pipeline {
 
     /// Submitted-but-unanswered slots.
     pub fn pending(&self) -> usize {
-        self.slots.iter().filter(|s| matches!(s, Slot::Pending { .. })).count()
+        self.slots.iter().filter(|s| matches!(s, Slot::Pending)).count()
     }
 
     /// Reserves the next in-order slot for an in-flight inference and
     /// returns its sequence number.
-    pub fn push_pending(&mut self, keep_alive: bool) -> u64 {
+    pub fn push_pending(&mut self) -> u64 {
         let seq = self.next;
         self.next += 1;
-        self.slots.push_back(Slot::Pending { keep_alive });
+        self.slots.push_back(Slot::Pending);
         seq
     }
 
@@ -86,21 +86,12 @@ impl Pipeline {
         self.slots.push_back(Slot::Ready(bytes));
     }
 
-    /// The keep-alive flag recorded for a pending slot, or `None` when
-    /// the slot is gone or already completed (stale completion).
-    pub fn pending_keep_alive(&self, seq: u64) -> Option<bool> {
-        match self.slots.get(usize::try_from(seq.checked_sub(self.base)?).ok()?) {
-            Some(Slot::Pending { keep_alive }) => Some(*keep_alive),
-            _ => None,
-        }
-    }
-
     /// Fills a pending slot with its encoded response. Returns `false`
     /// for a stale sequence (slot already flushed or never pending).
     pub fn complete(&mut self, seq: u64, bytes: Vec<u8>) -> bool {
         let Some(offset) = seq.checked_sub(self.base) else { return false };
         match self.slots.get_mut(offset as usize) {
-            Some(slot @ Slot::Pending { .. }) => {
+            Some(slot @ Slot::Pending) => {
                 *slot = Slot::Ready(bytes);
                 true
             }
@@ -281,8 +272,8 @@ mod tests {
     #[test]
     fn pipeline_preserves_request_order_across_out_of_order_completions() {
         let mut p = Pipeline::default();
-        let a = p.push_pending(true);
-        let b = p.push_pending(true);
+        let a = p.push_pending();
+        let b = p.push_pending();
         p.push_ready(b"C".to_vec());
         assert_eq!(p.len(), 3);
         assert_eq!(p.pending(), 2);
@@ -302,16 +293,14 @@ mod tests {
     #[test]
     fn stale_and_double_completions_are_rejected() {
         let mut p = Pipeline::default();
-        let a = p.push_pending(false);
-        assert_eq!(p.pending_keep_alive(a), Some(false));
+        let a = p.push_pending();
         assert!(p.complete(a, b"A".to_vec()));
         assert!(!p.complete(a, b"again".to_vec()), "double completion is inert");
-        assert_eq!(p.pending_keep_alive(a), None);
 
         let mut out = Vec::new();
         p.flush_into(&mut out);
         assert!(!p.complete(a, b"late".to_vec()), "flushed slot is stale");
-        assert_eq!(p.pending_keep_alive(999), None);
+        assert!(!p.complete(999, b"never".to_vec()), "never-reserved slot is stale");
         assert_eq!(out, b"A");
     }
 }

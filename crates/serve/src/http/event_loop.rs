@@ -18,6 +18,15 @@
 //!    pipeline slots, and flush each connection's ready prefix as far as
 //!    the socket allows.
 //!
+//! Admission, request counting and IDs, flight-recorder records, refusals
+//! and response encoding go through the protocol core on [`HttpShared`]
+//! (`admit`, `begin`, `answer`, `refuse`), exactly as on the threaded
+//! front end; each completion carries its request's [`Exchange`]. What is
+//! this front end's own is how it reads, waits and writes, and that it
+//! counts a response when the bytes join the connection's pipeline — or,
+//! for a completion whose connection has gone, when it arrives: the
+//! request was answered, only the delivery is moot.
+//!
 //! Batching is untouched: the scheduler sees the same `submit_with` stream
 //! the threaded front end produces, just without a thread per connection.
 //!
@@ -27,16 +36,18 @@
 //! (`read_timeout`) close idle connections, answer `408` mid-request, and
 //! cut off stalled readers; a `stop` request drains — the listener is
 //! deregistered, every connection finishes its pipeline, and the loop
-//! exits when the last connection closes or the drain deadline passes.
+//! exits once the last connection has closed and every counted request
+//! has its response counted, or when the drain deadline passes.
 
 use super::conn::Conn;
 use super::parser::DEFAULT_MAX_HEAD;
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
 use super::{
-    encode_response, encode_response_with, error_body, error_response, lock, prediction_parts,
-    route_request, HttpShared, Routed, MAX_PIPELINE,
+    error_response, prediction_parts, route_request, Exchange, HttpShared, Routed, CT_JSON,
+    MAX_PIPELINE,
 };
 use crate::error::ServeError;
+use crate::lock;
 use crate::scheduler::Prediction;
 use crate::stats::ConnTag;
 use std::io::{self, Write};
@@ -53,14 +64,14 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 
 /// One finished piece of off-loop work on its way back to a connection.
-/// `gen` and the pipeline sequence make stale completions (connection
-/// closed, slot reused) inert — see the invariants on [`super::conn`].
+/// The exchange's `conn_gen` and the pipeline sequence make stale
+/// completions (connection closed, slot reused) inert — see the
+/// invariants on [`super::conn`].
 struct Completion {
     conn: usize,
-    gen: u64,
     seq: u64,
-    /// Request ID (for the flight-recorder trace).
-    id: u64,
+    /// The request this answers.
+    ex: Exchange,
     payload: Payload,
 }
 
@@ -83,6 +94,14 @@ enum Payload {
 pub(crate) struct LoopShared {
     waker: EventFd,
     completions: Mutex<Vec<Completion>>,
+}
+
+impl LoopShared {
+    /// Queues `c` for the loop thread and wakes it.
+    fn complete(&self, c: Completion) {
+        lock(&self.completions).push(c);
+        self.waker.wake();
+    }
 }
 
 /// Join handle for a running event loop.
@@ -117,7 +136,6 @@ pub(crate) fn start(listener: TcpListener, http: Arc<HttpShared>) -> io::Result<
         shared: Arc::clone(&shared),
         conns: Vec::new(),
         free: Vec::new(),
-        live: 0,
         draining: false,
         drain_deadline: None,
     };
@@ -133,9 +151,9 @@ struct EventLoop {
     http: Arc<HttpShared>,
     shared: Arc<LoopShared>,
     /// Connection slab; the epoll token of a connection is its index.
+    /// Its occupied slots are the server's `conn_stats.active()`.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    live: usize,
     draining: bool,
     drain_deadline: Option<Instant>,
 }
@@ -171,7 +189,12 @@ impl EventLoop {
             }
             self.check_timeouts(now);
             if self.draining {
-                if self.live == 0 {
+                // Drained once every connection has closed and every
+                // counted request has its response counted — what
+                // `Server::stop` waits for on the threaded front end — so
+                // an answer to a connection that already went still counts.
+                let c = self.http.conn_stats.snapshot();
+                if c.active == 0 && c.responses >= c.requests {
                     break;
                 }
                 if self.drain_deadline.is_some_and(|d| now >= d) {
@@ -208,19 +231,11 @@ impl EventLoop {
         loop {
             match self.listener.accept() {
                 Ok((mut stream, _)) => {
-                    if self.live >= self.http.max_connections {
-                        // Connection cap: typed 503, then close.
-                        self.http.conn_stats.record_shed_connection();
-                        crate::log_debug!(
-                            "serve::event_loop",
-                            "connection shed at cap",
-                            live = self.live,
-                        );
-                        let _ = stream.set_nonblocking(true);
-                        let _ = stream.write(&encode_response(503, &error_body(503), false));
+                    if !self.http.admit(&mut stream) {
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
+                        self.http.conn_stats.record_closed(ConnTag::Reading);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
@@ -241,12 +256,11 @@ impl EventLoop {
                         .is_err()
                     {
                         self.free.push(idx);
+                        self.http.conn_stats.record_closed(ConnTag::Reading);
                         continue;
                     }
                     conn.registered = interest;
                     self.conns[idx] = Some(conn);
-                    self.live += 1;
-                    self.http.conn_stats.record_accepted(ConnTag::Reading);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -269,15 +283,14 @@ impl EventLoop {
                 return;
             }
         }
-        self.process_requests(idx, now);
+        self.process_requests(idx);
         self.finish_io(idx, now);
     }
 
     /// Parses and routes every complete request buffered on `idx`, up to
     /// the pipeline cap (bounded buffering, invariant 3 of
     /// [`super::conn`]).
-    fn process_requests(&mut self, idx: usize, now: Instant) {
-        let _ = now;
+    fn process_requests(&mut self, idx: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
             if conn.close_after_flush
@@ -286,122 +299,96 @@ impl EventLoop {
             {
                 return;
             }
-            match conn.parser.next_request() {
-                Ok(None) => {
-                    if conn.read_closed {
-                        if conn.parser.mid_request() {
-                            // EOF mid-request: same 400 the threaded front
-                            // end answers.
-                            self.http.conn_stats.record_request();
-                            conn.pipeline
-                                .push_ready(encode_response(400, &error_body(400), false));
-                            self.http.conn_stats.record_response();
-                        }
-                        // Half-closed peer: flush what is owed, then close.
-                        conn.close_after_flush = true;
-                    }
+            let req = match conn.parser.next_request() {
+                Ok(Some(req)) => req,
+                Ok(None) if !conn.read_closed => return, // wait for more bytes
+                Ok(None) if !conn.parser.mid_request() => {
+                    // Half-closed peer: flush what is owed, then close.
+                    conn.close_after_flush = true;
                     return;
                 }
-                Ok(Some(req)) => {
-                    self.http.conn_stats.record_request();
-                    // Request IDs are minted at parse time from the
-                    // server-wide mint shared with the threaded front end.
-                    let id = self.http.mint_request_id();
-                    // On this front end the request span covers routing and
-                    // submission only — the inference wait happens off-loop
-                    // and is visible as the matching `scheduler.batch` span
-                    // (joined by id against `/debug/requests`).
-                    let _req_span = pecan_obs::span_with_id("serve.request", id);
-                    let keep_alive = req.keep_alive;
-                    match route_request(&self.http, &req) {
-                        Routed::Done { status, body, content_type, shutdown } => {
-                            conn.pipeline.push_ready(encode_response_with(
-                                status,
-                                content_type,
-                                &body,
-                                keep_alive,
-                            ));
-                            self.http.conn_stats.record_response();
-                            self.http.trace_request(id, conn.gen, None, status, None);
-                            if shutdown {
-                                conn.shutdown_after_flush = true;
-                            }
-                        }
-                        Routed::Predict { idx: entry, input } => {
-                            let seq = conn.pipeline.push_pending(keep_alive);
-                            let gen = conn.gen;
-                            let shared = Arc::clone(&self.shared);
-                            let submit = self.http.registry.entry(entry).submit_with(
-                                input,
-                                Box::new(move |result| {
-                                    lock(&shared.completions).push(Completion {
-                                        conn: idx,
-                                        gen,
-                                        seq,
-                                        id,
-                                        payload: Payload::Inference { model: entry, result },
-                                    });
-                                    shared.waker.wake();
-                                }),
-                            );
-                            match submit {
-                                Ok(()) => self.http.conn_stats.inflight_add(),
-                                Err(e) => {
-                                    // Rejected synchronously (bad input,
-                                    // hard queue bound, shutting down).
-                                    let (status, body) = error_response(&e);
-                                    conn.pipeline
-                                        .complete(seq, encode_response(status, &body, keep_alive));
-                                    self.http.conn_stats.record_response();
-                                    self.http.trace_request(id, gen, Some(entry), status, None);
-                                }
-                            }
-                        }
-                        Routed::Blocking(job) => {
-                            // The loop thread may never block, so a helper
-                            // thread runs the job and delivers its answer
-                            // through the completion queue like any
-                            // inference answer.
-                            let seq = conn.pipeline.push_pending(keep_alive);
-                            let gen = conn.gen;
-                            let shared = Arc::clone(&self.shared);
-                            let spawned = std::thread::Builder::new()
-                                .name("pecan-serve-blocking".into())
-                                .spawn(move || {
-                                    let (status, body) = job();
-                                    lock(&shared.completions).push(Completion {
-                                        conn: idx,
-                                        gen,
-                                        seq,
-                                        id,
-                                        payload: Payload::Done(status, body),
-                                    });
-                                    shared.waker.wake();
-                                });
-                            if spawned.is_err() {
-                                let body = "{\"error\":\"cannot spawn helper thread\"}";
-                                conn.pipeline
-                                    .complete(seq, encode_response(500, body, keep_alive));
-                                self.http.conn_stats.record_response();
-                                self.http.trace_request(id, gen, None, 500, None);
-                            }
-                        }
-                    }
-                    if !keep_alive {
-                        // `Connection: close`: the client promised nothing
-                        // further; stop parsing (invariant 4).
-                        conn.close_after_flush = true;
-                        return;
-                    }
-                }
-                Err(e) => {
-                    let status = e.status();
-                    conn.pipeline
-                        .push_ready(encode_response(status, &error_body(status), false));
+                // A request the parser refused, or EOF mid-request (`400`):
+                // refuse it, then close.
+                refused => {
+                    let status = refused.err().map_or(400, |e| e.status());
+                    conn.pipeline.push_ready(self.http.refuse(conn.gen, status));
                     self.http.conn_stats.record_response();
                     conn.close_after_flush = true;
                     return;
                 }
+            };
+            let ex = self.http.begin(conn.gen, req.keep_alive);
+            // On this front end the request span covers routing and
+            // submission only — the inference wait happens off-loop and is
+            // visible as the matching `scheduler.batch` span (joined by id
+            // against `/debug/requests`).
+            let _req_span = pecan_obs::span_with_id("serve.request", ex.id);
+            match route_request(&self.http, &req) {
+                Routed::Done { status, body, content_type, shutdown } => {
+                    let bytes = self.http.answer(&ex, None, (status, content_type, &body), None);
+                    conn.pipeline.push_ready(bytes);
+                    self.http.conn_stats.record_response();
+                    if shutdown {
+                        conn.shutdown_after_flush = true;
+                    }
+                }
+                Routed::Predict { idx: entry, input } => {
+                    let seq = conn.pipeline.push_pending();
+                    let shared = Arc::clone(&self.shared);
+                    let submit = self.http.registry.entry(entry).submit_with(
+                        input,
+                        Box::new(move |result| {
+                            shared.complete(Completion {
+                                conn: idx,
+                                seq,
+                                ex,
+                                payload: Payload::Inference { model: entry, result },
+                            });
+                        }),
+                    );
+                    match submit {
+                        Ok(()) => self.http.conn_stats.inflight_add(),
+                        Err(e) => {
+                            // Rejected synchronously (bad input, hard queue
+                            // bound, shutting down).
+                            let (status, body) = error_response(&e);
+                            let bytes =
+                                self.http.answer(&ex, Some(entry), (status, CT_JSON, &body), None);
+                            conn.pipeline.complete(seq, bytes);
+                            self.http.conn_stats.record_response();
+                        }
+                    }
+                }
+                Routed::Blocking(job) => {
+                    // The loop thread may never block, so a helper thread
+                    // runs the job and delivers its answer through the
+                    // completion queue like any inference answer.
+                    let seq = conn.pipeline.push_pending();
+                    let shared = Arc::clone(&self.shared);
+                    let spawned = std::thread::Builder::new()
+                        .name("pecan-serve-blocking".into())
+                        .spawn(move || {
+                            let (status, body) = job();
+                            shared.complete(Completion {
+                                conn: idx,
+                                seq,
+                                ex,
+                                payload: Payload::Done(status, body),
+                            });
+                        });
+                    if spawned.is_err() {
+                        let body = "{\"error\":\"cannot spawn helper thread\"}";
+                        let bytes = self.http.answer(&ex, None, (500, CT_JSON, body), None);
+                        conn.pipeline.complete(seq, bytes);
+                        self.http.conn_stats.record_response();
+                    }
+                }
+            }
+            if !ex.keep_alive {
+                // `Connection: close`: the client promised nothing
+                // further; stop parsing (invariant 4).
+                conn.close_after_flush = true;
+                return;
             }
         }
     }
@@ -411,37 +398,29 @@ impl EventLoop {
     fn drain_completions(&mut self, now: Instant) {
         let completions = std::mem::take(&mut *lock(&self.shared.completions));
         for c in completions {
-            // The span is recorded even when the connection is gone — the
-            // work happened; only the delivery was moot.
-            let (status, body) = match c.payload {
+            let bytes = match c.payload {
                 Payload::Inference { model, result } => {
                     self.http.conn_stats.inflight_sub();
                     let (status, body) = prediction_parts(&result);
-                    self.http
-                        .trace_request(c.id, c.gen, Some(model), status, result.as_ref().ok());
-                    (status, body)
+                    let prediction = result.as_ref().ok();
+                    self.http.answer(&c.ex, Some(model), (status, CT_JSON, &body), prediction)
                 }
                 Payload::Done(status, body) => {
-                    self.http.trace_request(c.id, c.gen, None, status, None);
-                    (status, body)
+                    self.http.answer(&c.ex, None, (status, CT_JSON, &body), None)
                 }
             };
-            let stale = 'check: {
-                let Some(conn) = self.conns.get_mut(c.conn).and_then(Option::as_mut) else {
-                    break 'check true;
-                };
-                if conn.gen != c.gen {
-                    break 'check true; // slot reused; completion is inert
-                }
-                let Some(keep_alive) = conn.pipeline.pending_keep_alive(c.seq) else {
-                    break 'check true;
-                };
-                conn.pipeline.complete(c.seq, encode_response(status, &body, keep_alive));
-                self.http.conn_stats.record_response();
-                false
-            };
-            if !stale {
-                self.process_requests(c.conn, now); // pipeline cap may have cleared
+            // Recorded and counted even when the connection is gone: the
+            // request was answered; only the delivery is moot.
+            self.http.conn_stats.record_response();
+            let delivered = self
+                .conns
+                .get_mut(c.conn)
+                .and_then(Option::as_mut)
+                // A reused slot has a new generation; the completion is inert.
+                .filter(|conn| conn.gen == c.ex.conn_gen)
+                .is_some_and(|conn| conn.pipeline.complete(c.seq, bytes));
+            if delivered {
+                self.process_requests(c.conn); // pipeline cap may have cleared
                 self.finish_io(c.conn, now);
             }
         }
@@ -495,7 +474,6 @@ impl EventLoop {
             let _ = self.epoll.remove(conn.stream.as_raw_fd());
             self.http.conn_stats.record_closed(conn.tag);
             self.free.push(idx);
-            self.live -= 1;
         }
     }
 
@@ -515,13 +493,8 @@ impl EventLoop {
                 if conn.parser.mid_request() && conn.write_backlog() == 0 {
                     // Mid-request: the 408 the threaded front end answers,
                     // best-effort (the socket may be unwritable).
-                    self.http.conn_stats.record_timeout();
-                    crate::log_debug!(
-                        "serve::event_loop",
-                        "read timeout mid-request",
-                        conn_gen = conn.gen,
-                    );
-                    let _ = conn.stream.write(&encode_response(408, &error_body(408), false));
+                    let _ = conn.stream.write(&self.http.refuse(conn.gen, 408));
+                    self.http.conn_stats.record_response();
                 } else if conn.write_backlog() > 0 {
                     // Stalled reader: it cannot wedge the loop; cut it off.
                     self.http.conn_stats.record_timeout();
@@ -545,7 +518,7 @@ impl EventLoop {
     fn begin_drain(&mut self, now: Instant) {
         self.draining = true;
         self.drain_deadline = Some(now + self.http.read_timeout);
-        crate::log_info!("serve::event_loop", "draining", live = self.live);
+        crate::log_info!("serve::event_loop", "draining", active = self.http.conn_stats.active());
         let _ = self.epoll.remove(self.listener.as_raw_fd());
         for idx in 0..self.conns.len() {
             if let Some(conn) = self.conns[idx].as_mut() {

@@ -3,8 +3,12 @@
 //! The environment is offline, so the server is hand-rolled on the
 //! standard library: no TLS, no chunked encoding — exactly enough protocol
 //! for serving and load-generation. Two interchangeable front ends share
-//! one incremental [`parser`], one response encoder and one router, so
-//! their responses are byte-identical:
+//! one incremental [`parser`], one router ([`route_request`]) and one
+//! protocol core — `HttpShared::{admit, begin, answer, refuse}` — so they
+//! answer byte-identically and count alike: every answered request counts
+//! once in `requests`, once in `responses`, and leaves one
+//! `/debug/requests` record. A front end keeps only how it reads, waits
+//! and writes:
 //!
 //! * **Threaded** ([`threaded`], the portable default): blocking accept
 //!   loop, one handler thread per connection.
@@ -41,7 +45,7 @@
 //! [`ConnStatsSnapshot::shed_requests`](crate::ConnStatsSnapshot)) or from
 //! the scheduler's hard queue bound. A reload or trace capture beyond
 //! [`MAX_BLOCKING`] running at once also answers `503` and counts as shed.
-//! Malformed requests answer `400`.
+//! Malformed requests answer `400` (`413`/`431` when too large).
 
 pub mod parser;
 
@@ -57,14 +61,14 @@ mod threaded;
 
 use crate::error::ServeError;
 use crate::json;
+use crate::lock;
 use crate::obs::metrics::{PromKind, PromText};
 use crate::obs::recorder::NO_MODEL;
 use crate::obs::{FlightRecorder, TraceRecord};
 use crate::registry::EngineRegistry;
-use crate::scheduler::{Prediction, SchedulerConfig};
-use crate::stats::{ConnStats, ConnStatsSnapshot, StatsSnapshot};
-use crate::FrozenEngine;
-use std::io;
+use crate::scheduler::Prediction;
+use crate::stats::{ConnStats, ConnStatsSnapshot, ConnTag, StatsSnapshot};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -86,11 +90,6 @@ pub struct ServerConfig {
     /// Bind address; use port `0` for an ephemeral port (the bound address
     /// is reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Scheduler configuration used when [`Server::start`] wraps a single
-    /// engine into a one-model registry. Ignored by
-    /// [`Server::start_registry`] (each registered model already carries
-    /// its scheduler).
-    pub scheduler: SchedulerConfig,
     /// Largest accepted request body in bytes.
     pub max_body: usize,
     /// Per-connection idle/read timeout. The threaded front end applies it
@@ -115,7 +114,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            scheduler: SchedulerConfig::default(),
             max_body: 1 << 20,
             read_timeout: Duration::from_secs(30),
             event_loop: false,
@@ -146,7 +144,7 @@ pub(crate) struct HttpShared {
     pub(crate) registry: Arc<EngineRegistry>,
     pub(crate) max_body: usize,
     pub(crate) read_timeout: Duration,
-    pub(crate) max_connections: usize,
+    max_connections: usize,
     /// Blocking jobs admitted and not yet dropped (≤ [`MAX_BLOCKING`]).
     blocking: Arc<AtomicUsize>,
     pub(crate) stopping: AtomicBool,
@@ -161,33 +159,74 @@ pub(crate) struct HttpShared {
     next_conn_gen: AtomicU64,
 }
 
-impl HttpShared {
-    /// Mints the next request ID (1-based).
-    pub(crate) fn mint_request_id(&self) -> u64 {
-        self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1
-    }
+/// One request on its way to an answer: what [`HttpShared::begin`] minted
+/// and [`HttpShared::answer`] needs. `Copy`, so the event loop's
+/// completion callbacks carry it across threads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Exchange {
+    /// Request ID (1-based, unique per server).
+    pub(crate) id: u64,
+    /// Generation of the connection the request arrived on.
+    pub(crate) conn_gen: u64,
+    /// Whether the response says `Connection: keep-alive`.
+    pub(crate) keep_alive: bool,
+}
 
+/// The protocol core: every decision both front ends make about a
+/// connection or a request. A front end calls [`admit`](Self::admit)
+/// per accepted socket, [`begin`](Self::begin) per parsed request and
+/// [`answer`](Self::answer) once its answer is known — or
+/// [`refuse`](Self::refuse) for a request that never parsed — and counts
+/// the response itself when it hands the bytes on.
+impl HttpShared {
     /// Mints the next connection generation (1-based).
     pub(crate) fn mint_conn_gen(&self) -> u64 {
         self.next_conn_gen.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Writes one completed-request span into the flight recorder.
-    /// `prediction` carries the queue/batch legs for requests that
-    /// reached a scheduler; pass `None` for everything else (admin
-    /// routes, parse/validation errors, shed requests).
-    pub(crate) fn trace_request(
+    /// The connection cap. Below it, counts the socket `accepted` (in the
+    /// `reading` state) and returns `true`; the caller owns the
+    /// connection and records its close. At the cap, counts it in
+    /// `shed_connections`, writes a best-effort `503` without blocking,
+    /// and returns `false`: the caller drops (closes) the socket.
+    pub(crate) fn admit(&self, stream: &mut TcpStream) -> bool {
+        let active = self.conn_stats.active();
+        if active < self.max_connections as u64 {
+            self.conn_stats.record_accepted(ConnTag::Reading);
+            return true;
+        }
+        self.conn_stats.record_shed_connection();
+        crate::log_debug!("serve::http", "connection shed at cap", active = active);
+        let _ = stream.set_nonblocking(true);
+        let _ = stream.write_all(&encode_response(503, CT_JSON, &error_body(503), false));
+        false
+    }
+
+    /// Counts one request and mints its ID. The caller opens the
+    /// `serve.request` span itself: a span records into the ring of the
+    /// thread that opens it.
+    pub(crate) fn begin(&self, conn_gen: u64, keep_alive: bool) -> Exchange {
+        self.conn_stats.record_request();
+        let id = self.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
+        Exchange { id, conn_gen, keep_alive }
+    }
+
+    /// Writes `ex`'s flight-recorder record and encodes its response.
+    /// `model` is the registry index of the model that answered, and
+    /// `prediction` carries the queue/batch legs for a request that
+    /// reached a scheduler; both are `None` for everything else (admin
+    /// routes, validation errors, shed requests, refusals).
+    pub(crate) fn answer(
         &self,
-        id: u64,
-        conn_gen: u64,
+        ex: &Exchange,
         model: Option<usize>,
-        status: u16,
+        (status, content_type, body): (u16, &str, &str),
         prediction: Option<&Prediction>,
-    ) {
+    ) -> Vec<u8> {
         let p = prediction;
         self.recorder.record(&TraceRecord {
-            id,
-            conn_gen,
+            id: ex.id,
+            conn_gen: ex.conn_gen,
             model: model.map_or(NO_MODEL, |m| m as u64),
             status: u64::from(status),
             batch_id: p.map_or(0, |p| p.batch_id),
@@ -200,11 +239,26 @@ impl HttpShared {
         crate::log_trace!(
             "serve::http",
             "request completed",
-            id = id,
-            conn_gen = conn_gen,
+            id = ex.id,
+            conn_gen = ex.conn_gen,
             status = status,
             total_us = p.map_or(0, |p| p.total.as_micros()),
         );
+        encode_response(status, content_type, body, ex.keep_alive)
+    }
+
+    /// Answers, with `Connection: close`, a request the parser refused
+    /// (`400`/`413`/`431`) or the client cut off: `400` at EOF
+    /// mid-request, `408` at the read deadline mid-request (which also
+    /// counts one timeout). It counts and records like any other
+    /// request, with no model.
+    pub(crate) fn refuse(&self, conn_gen: u64, status: u16) -> Vec<u8> {
+        if status == 408 {
+            self.conn_stats.record_timeout();
+            crate::log_debug!("serve::http", "read timeout mid-request", conn_gen = conn_gen);
+        }
+        let ex = self.begin(conn_gen, false);
+        self.answer(&ex, None, (status, CT_JSON, &error_body(status)), None)
     }
 }
 
@@ -220,8 +274,9 @@ enum FrontEnd {
 /// A running serving endpoint: front end + per-model schedulers + frozen
 /// engines.
 ///
-/// Construct with [`Server::start`] (one model) or
-/// [`Server::start_registry`] (multi-model); stop gracefully with
+/// Construct with [`Server::start_registry`], the one constructor, over a
+/// registry of one or more models; keep registering and reloading models
+/// through [`Server::registry`] while it runs. Stop gracefully with
 /// [`Server::stop`] (drains all queued requests) or let a client
 /// `POST /shutdown` and wait for that with [`Server::run`].
 pub struct Server {
@@ -242,21 +297,6 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Single-model convenience: wraps `engine` into a one-model registry
-    /// (named after [`FrozenEngine::name`], `"default"` when unnamed) and
-    /// serves it.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] when the address cannot be bound.
-    pub fn start(engine: Arc<FrozenEngine>, config: ServerConfig) -> io::Result<Server> {
-        let registry = EngineRegistry::new();
-        registry
-            .register(engine, config.scheduler.clone())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        Self::start_registry(registry, config)
-    }
-
     /// Binds, adopts the registry's per-model schedulers, spawns the
     /// configured front end, and starts answering on every model's routes.
     ///
@@ -265,20 +305,6 @@ impl Server {
     /// [`io::Error`] when the registry is empty or the address cannot be
     /// bound.
     pub fn start_registry(registry: EngineRegistry, config: ServerConfig) -> io::Result<Server> {
-        Self::start_shared(Arc::new(registry), config)
-    }
-
-    /// As [`Server::start_registry`], but over an externally shared
-    /// registry, so other components — the directory watcher, operator
-    /// tooling — can keep registering and reloading models **while the
-    /// server runs**. The registry's interior mutability makes this safe;
-    /// models added after start are routable immediately.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] when the registry is empty or the address cannot be
-    /// bound.
-    pub fn start_shared(registry: Arc<EngineRegistry>, config: ServerConfig) -> io::Result<Server> {
         if registry.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -289,7 +315,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let (shutdown_tx, shutdown_rx) = mpsc::channel();
         let shared = Arc::new(HttpShared {
-            registry,
+            registry: Arc::new(registry),
             max_body: config.max_body,
             read_timeout: config.read_timeout,
             max_connections: config.max_connections.max(1),
@@ -360,8 +386,11 @@ impl Server {
         self.shared.conn_stats.snapshot()
     }
 
-    /// The served models.
-    pub fn registry(&self) -> &EngineRegistry {
+    /// The served models. Clone the `Arc` to share the registry with
+    /// other components — the directory watcher, operator tooling — that
+    /// keep registering and reloading models **while the server runs**;
+    /// models added after start are routable immediately.
+    pub fn registry(&self) -> &Arc<EngineRegistry> {
         &self.shared.registry
     }
 
@@ -428,10 +457,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
-}
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Splits `/models/{name}/rest` into `(Some(name), "/rest")`; any other
@@ -747,10 +772,10 @@ fn metrics(shared: &HttpShared) -> String {
     for (state, v) in [("reading", conn.reading), ("handling", conn.handling), ("writing", conn.writing)] {
         page.sample("pecan_connections_state", &[("state", state)], v as f64);
     }
-    conn_metric(&mut page, "pecan_http_requests_total", PromKind::Counter, "Requests parsed off sockets.", conn.requests);
-    conn_metric(&mut page, "pecan_http_responses_total", PromKind::Counter, "Responses handed to sockets.", conn.responses);
+    conn_metric(&mut page, "pecan_http_requests_total", PromKind::Counter, "Requests answered: parsed, or refused as malformed or cut off mid-request.", conn.requests);
+    conn_metric(&mut page, "pecan_http_responses_total", PromKind::Counter, "Responses to those requests handed on to sockets; equals pecan_http_requests_total at rest.", conn.responses);
     conn_metric(&mut page, "pecan_inflight_requests", PromKind::Gauge, "Requests submitted to a scheduler and not yet answered.", conn.inflight);
-    conn_metric(&mut page, "pecan_timeouts_total", PromKind::Counter, "Connections closed by the idle/read timeout.", conn.timeouts);
+    conn_metric(&mut page, "pecan_timeouts_total", PromKind::Counter, "Connections cut off at the read deadline mid-request (answered 408) or as stalled readers.", conn.timeouts);
     conn_metric(&mut page, "pecan_shed_connections_total", PromKind::Counter, "Connections refused at the connection cap.", conn.shed_connections);
     conn_metric(&mut page, "pecan_shed_requests_total", PromKind::Counter, "Requests refused by load-aware shedding.", conn.shed_requests);
     conn_metric(&mut page, "pecan_flight_records_total", PromKind::Counter, "Request spans written to the flight recorder.", shared.recorder.recorded());
@@ -865,7 +890,9 @@ pub(crate) fn prediction_parts(result: &Result<Prediction, ServeError>) -> (u16,
     }
 }
 
-pub(crate) fn error_body(status: u16) -> String {
+/// The JSON body of a response that carries only its status: the cap
+/// `503` and the refusals.
+fn error_body(status: u16) -> String {
     format!("{{\"error\":\"{}\"}}", reason(status))
 }
 
@@ -884,22 +911,11 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Encodes one complete JSON response — [`encode_response_with`] fixed
-/// to [`CT_JSON`], which every route except `/metrics` uses.
-pub(crate) fn encode_response(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
-    encode_response_with(status, CT_JSON, body, keep_alive)
-}
-
-/// Encodes one complete response. Both front ends emit responses through
-/// this function only, which is what makes them byte-identical on the
-/// wire. Every `503` carries `Retry-After: 1` — shed or hard-rejected,
-/// the client's correct move is the same.
-pub(crate) fn encode_response_with(
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> Vec<u8> {
+/// Encodes one complete response. Every response of both front ends is
+/// encoded here, through the protocol core, which is what makes them
+/// byte-identical on the wire. Every `503` carries `Retry-After: 1` —
+/// shed or hard-rejected, the client's correct move is the same.
+fn encode_response(status: u16, content_type: &str, body: &str, keep_alive: bool) -> Vec<u8> {
     let retry = if status == 503 { "Retry-After: 1\r\n" } else { "" };
     let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: {}\r\n\r\n",
@@ -953,7 +969,7 @@ mod tests {
 
     #[test]
     fn encode_response_framing_and_retry_after() {
-        let ok = encode_response(200, "{}", true);
+        let ok = encode_response(200, CT_JSON, "{}", true);
         let text = String::from_utf8(ok).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -961,7 +977,7 @@ mod tests {
         assert!(!text.contains("Retry-After"));
         assert!(text.ends_with("\r\n\r\n{}"));
 
-        let shed = String::from_utf8(encode_response(503, "{}", false)).unwrap();
+        let shed = String::from_utf8(encode_response(503, CT_JSON, "{}", false)).unwrap();
         assert!(shed.contains("Retry-After: 1\r\n"));
         assert!(shed.contains("Connection: close\r\n"));
     }

@@ -1,23 +1,19 @@
 //! Thread-per-connection front end: the portable fallback.
 //!
 //! A blocking accept loop hands each connection to a detached handler
-//! thread. Parsing, routing and response encoding are shared with the
-//! event loop (`parser::RequestParser`, `route_request`,
-//! `encode_response`), so the two front ends answer byte-identically; the
-//! only differences are the concurrency model and that a blocking handler
+//! thread. Admission, counting, records, refusals and encoding go through
+//! the protocol core on [`HttpShared`] and routing through
+//! [`route_request`], as on the event loop; what is this front end's own
+//! is how it reads, waits and writes. A handler blocks on its socket,
 //! waits on [`ModelEntry::predict`](crate::ModelEntry::predict) — whose
-//! completion callback sends into a ticket — instead of the event loop's
-//! completion queue, and runs blocking routes (`/reload`,
-//! `/debug/trace`) itself. Each handler retags its connection
-//! through the same `reading → handling → writing` gauge states the
-//! event loop reports, so `/stats` and `/metrics` mean the same thing on
-//! both front ends.
+//! completion callback sends into a ticket — runs blocking routes
+//! (`/reload`, `/debug/trace`) itself, and counts each response after its
+//! `write_all`. It retags its connection through the same
+//! `reading → handling → writing` gauge states the event loop reports, so
+//! `/stats` and `/metrics` mean the same thing on both front ends.
 
 use super::parser::{RequestParser, DEFAULT_MAX_HEAD};
-use super::{
-    encode_response, encode_response_with, error_body, prediction_parts, route_request,
-    HttpShared, Routed, CT_JSON,
-};
+use super::{prediction_parts, route_request, HttpShared, Routed, CT_JSON};
 use crate::stats::ConnTag;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -33,16 +29,10 @@ pub(crate) fn accept_loop(listener: &TcpListener, shared: &Arc<HttpShared>) {
             return;
         }
         let Ok(mut stream) = stream else { continue };
-        if shared.conn_stats.active() >= shared.max_connections as u64 {
-            // At the connection cap: answer a typed 503 and close instead
-            // of silently dropping or queueing the socket.
-            shared.conn_stats.record_shed_connection();
-            crate::log_debug!("serve::threaded", "connection shed at cap");
-            let _ = stream.write_all(&encode_response(503, &error_body(503), false));
+        if !shared.admit(&mut stream) {
             continue;
         }
         let conn_shared = Arc::clone(shared);
-        shared.conn_stats.record_accepted(ConnTag::Reading);
         // Handler threads are detached: a graceful stop drains the
         // scheduler, so in-flight requests still get answers before the
         // process exits.
@@ -50,7 +40,7 @@ pub(crate) fn accept_loop(listener: &TcpListener, shared: &Arc<HttpShared>) {
             .name("pecan-serve-conn".into())
             .spawn(move || {
                 // `handle_connection` always leaves the tag at Reading, so
-                // this close accounting balances the accept above.
+                // this close accounting balances the admission above.
                 handle_connection(stream, &conn_shared);
                 conn_shared.conn_stats.record_closed(ConnTag::Reading);
             });
@@ -81,54 +71,43 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<HttpShared>) {
             Ok(Some(r)) => r,
             Ok(None) => return, // clean EOF between requests
             Err(status) => {
-                if status == 408 {
-                    shared.conn_stats.record_timeout();
-                    crate::log_debug!(
-                        "serve::threaded",
-                        "read timeout mid-request",
-                        conn_gen = conn_gen,
-                    );
-                }
-                let _ = stream.write_all(&encode_response(status, &error_body(status), false));
+                let _ = stream.write_all(&shared.refuse(conn_gen, status));
+                shared.conn_stats.record_response();
                 return;
             }
         };
-        shared.conn_stats.record_request();
-        // Request IDs are minted at parse time, shared with the event
-        // loop's mint, so traces are unique server-wide.
-        let id = shared.mint_request_id();
+        let ex = shared.begin(conn_gen, request.keep_alive);
         // The request span carries the flight-recorder request id, so a
         // `/debug/trace` timeline joins against `/debug/requests`. On this
         // front end it covers routing, the scheduler wait and the write.
-        let req_span = pecan_obs::span_with_id("serve.request", id);
-        let keep_alive = request.keep_alive;
-        let (status, body, content_type, initiate_shutdown) =
-            match route_request(shared, &request) {
-                Routed::Done { status, body, content_type, shutdown } => {
-                    shared.trace_request(id, conn_gen, None, status, None);
-                    (status, body, content_type, shutdown)
-                }
-                Routed::Predict { idx, input } => {
-                    set_tag(shared, &mut tag, ConnTag::Handling);
-                    shared.conn_stats.inflight_add();
-                    let result = shared.registry.entry(idx).predict(input);
-                    shared.conn_stats.inflight_sub();
-                    let (status, body) = prediction_parts(&result);
-                    shared.trace_request(id, conn_gen, Some(idx), status, result.as_ref().ok());
-                    (status, body, CT_JSON, false)
-                }
-                Routed::Blocking(job) => {
-                    // Blocking is fine here: the job only ties down this
-                    // connection's handler thread.
-                    set_tag(shared, &mut tag, ConnTag::Handling);
-                    let (status, body) = job();
-                    shared.trace_request(id, conn_gen, None, status, None);
-                    (status, body, CT_JSON, false)
-                }
-            };
+        let req_span = pecan_obs::span_with_id("serve.request", ex.id);
+        let mut initiate_shutdown = false;
+        let response = match route_request(shared, &request) {
+            Routed::Done { status, body, content_type, shutdown } => {
+                initiate_shutdown = shutdown;
+                shared.answer(&ex, None, (status, content_type, &body), None)
+            }
+            Routed::Predict { idx, input } => {
+                set_tag(shared, &mut tag, ConnTag::Handling);
+                shared.conn_stats.inflight_add();
+                let result = shared.registry.entry(idx).predict(input);
+                shared.conn_stats.inflight_sub();
+                let (status, body) = prediction_parts(&result);
+                shared.answer(&ex, Some(idx), (status, CT_JSON, &body), result.as_ref().ok())
+            }
+            Routed::Blocking(job) => {
+                // Blocking is fine here: the job only ties down this
+                // connection's handler thread.
+                set_tag(shared, &mut tag, ConnTag::Handling);
+                let (status, body) = job();
+                shared.answer(&ex, None, (status, CT_JSON, &body), None)
+            }
+        };
         set_tag(shared, &mut tag, ConnTag::Writing);
-        let written =
-            stream.write_all(&encode_response_with(status, content_type, &body, keep_alive));
+        let written = stream.write_all(&response);
+        // Counted whether or not the write succeeded: the request was
+        // answered, only the delivery failed. `Server::stop` waits for
+        // this count to catch up with `requests`.
         shared.conn_stats.record_response();
         drop(req_span);
         set_tag(shared, &mut tag, ConnTag::Reading);
@@ -138,16 +117,16 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<HttpShared>) {
             // process starts tearing down.
             let _ = shared.shutdown_tx.send(());
         }
-        if written.is_err() || !keep_alive {
+        if written.is_err() || !ex.keep_alive {
             return;
         }
     }
 }
 
 /// Blocks until the parser yields one request. `Ok(None)` is a clean close
-/// between requests; `Err(status)` is the HTTP status to answer before
-/// closing (parse errors, `400` for EOF mid-request, `408` for a read
-/// timeout mid-request).
+/// between requests; `Err(status)` is the status to refuse the request
+/// with before closing (parse errors, `400` for EOF mid-request, `408`
+/// for a read timeout mid-request).
 fn read_one_request(
     stream: &mut TcpStream,
     parser: &mut RequestParser,

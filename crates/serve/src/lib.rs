@@ -44,9 +44,10 @@
 //!    and a reload swaps the engine inside it — new requests go to the
 //!    new engine, queued ones are answered by the engine that admitted
 //!    them, so no request is dropped and counters carry across versions.
-//!    Two interchangeable front ends
-//!    share one parser, router
-//!    and encoder: portable thread-per-connection, and an epoll **event
+//!    Two interchangeable front ends share one parser, router and
+//!    protocol core (admission, request counting, flight-recorder
+//!    records, refusals, response encoding): portable
+//!    thread-per-connection, and an epoll **event
 //!    loop** ([`ServerConfig::event_loop`], Linux `x86_64`/`aarch64` —
 //!    see [`event_loop_supported`]) that multiplexes thousands of
 //!    non-blocking sockets on one thread with completion wakeups from the
@@ -116,9 +117,8 @@ pub use http::parser::{ParseError, Request, RequestParser};
 pub use http::{event_loop_supported, Server, ServerConfig};
 pub use mapped::mmap_supported;
 pub use obs::{FlightRecorder, Histogram, HistogramSnapshot, TraceRecord};
-// The logfmt macros moved to `pecan-obs` with the histogram; re-exported
-// so `pecan_serve::log_error!` / `crate::log_warn!` call sites compile
-// exactly as before the hoist.
+// The logfmt macros live in `pecan-obs`; re-exported so callers write
+// `pecan_serve::log_error!` and this crate writes `crate::log_warn!`.
 pub use pecan_obs::{log_at, log_debug, log_error, log_info, log_trace, log_warn};
 pub use registry::{EngineRegistry, LoadMode, ModelEntry, ModelSource};
 pub use scheduler::{BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig, Ticket};
@@ -132,3 +132,10 @@ pub use stage::{
 };
 pub use stats::{ConnStats, ConnStatsSnapshot, ServeStats, StatsSnapshot};
 pub use watcher::{ModelWatcher, WatcherConfig};
+
+/// Poison-tolerant lock, the one every module of this crate uses: a
+/// thread that panicked while holding a mutex must not wedge every
+/// client after it.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -10,8 +10,9 @@
 use pecan_obs::SeqRing;
 use std::time::Instant;
 
-/// `model` value for records not tied to a model (admin routes, parse
-/// errors).
+/// `model` value for records not tied to a model: admin routes, requests
+/// answered before reaching one (unknown route or model, a body that is
+/// not JSON, shed), and refusals of malformed or cut-off requests.
 pub const NO_MODEL: u64 = u64::MAX;
 
 /// One completed request span: who, where, and how long each leg took.

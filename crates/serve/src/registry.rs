@@ -33,7 +33,7 @@
 use crate::error::ServeError;
 use crate::scheduler::{BatchRunner, BatchScheduler, Complete, Prediction, SchedulerConfig};
 use crate::stats::{ServeStats, StatsSnapshot};
-use crate::FrozenEngine;
+use crate::{lock, FrozenEngine};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -45,10 +45,6 @@ fn read<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
 
 fn write<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// How a model's snapshot file is (re)loaded from disk.

@@ -48,7 +48,7 @@
 use crate::error::ServeError;
 use crate::obs::Histogram;
 use crate::stats::{ServeStats, StatsSnapshot};
-use crate::FrozenEngine;
+use crate::{lock, FrozenEngine};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -389,11 +389,6 @@ impl Drop for BatchScheduler {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Poison-tolerant lock: a panicking worker must not wedge every client.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn worker_loop(shared: &Shared) {

@@ -298,13 +298,22 @@ pub struct ConnStatsSnapshot {
     pub handling: u64,
     /// Connections with unflushed response bytes (gauge).
     pub writing: u64,
-    /// Requests parsed off sockets.
+    /// Requests the front end answered, each counted once when it was
+    /// parsed — or refused: malformed (`400`/`413`/`431`) or cut off
+    /// mid-request (`400` at EOF, `408` at the read deadline).
     pub requests: u64,
-    /// Responses handed to sockets.
+    /// Responses to those requests, each counted once when the front end
+    /// hands its bytes on: the threaded front end after its write, the
+    /// event loop when they join the connection's pipeline (or when the
+    /// answer arrives for a connection that has already gone). At rest,
+    /// on both front ends, `responses == requests`.
     pub responses: u64,
     /// Requests submitted to a scheduler and not yet answered (gauge).
     pub inflight: u64,
-    /// Connections closed by the idle/read timeout.
+    /// Connections cut off at the read deadline mid-request (each also
+    /// answered `408`) and, on the event loop, stalled readers cut off
+    /// with a write backlog. An idle connection closed between requests
+    /// is not counted.
     pub timeouts: u64,
     /// Connections refused with `503` at the connection cap.
     pub shed_connections: u64,

@@ -7,7 +7,7 @@
 //! deterministic: they poll observable state (`/stats` counters, actual
 //! socket EOF) rather than sleeping and hoping.
 
-use pecan_serve::{demo, ConnStatsSnapshot, SchedulerConfig, Server, ServerConfig};
+use pecan_serve::{demo, ConnStatsSnapshot, EngineRegistry, SchedulerConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -16,13 +16,11 @@ use std::time::{Duration, Instant};
 const READ_TIMEOUT: Duration = Duration::from_millis(300);
 
 fn start(event_loop: bool) -> Server {
-    let config = ServerConfig {
-        scheduler: SchedulerConfig { max_batch: 1, ..SchedulerConfig::default() },
-        event_loop,
-        read_timeout: READ_TIMEOUT,
-        ..ServerConfig::default()
-    };
-    Server::start(Arc::new(demo::mlp_engine(42)), config).expect("server starts")
+    let registry = EngineRegistry::new();
+    let scheduler = SchedulerConfig { max_batch: 1, ..SchedulerConfig::default() };
+    registry.register(Arc::new(demo::mlp_engine(42)), scheduler).expect("register");
+    let config = ServerConfig { event_loop, read_timeout: READ_TIMEOUT, ..ServerConfig::default() };
+    Server::start_registry(registry, config).expect("server starts")
 }
 
 fn front_ends() -> Vec<Server> {
@@ -62,6 +60,16 @@ fn predict_request(input_len: usize) -> Vec<u8> {
     format!("POST /predict HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len()).into_bytes()
 }
 
+/// One `GET path` on its own connection; the raw response.
+fn get(server: &Server, path: &str) -> String {
+    let mut s = connect(server);
+    s.write_all(format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes())
+        .expect("write");
+    let mut response = Vec::new();
+    s.read_to_end(&mut response).expect("read");
+    String::from_utf8_lossy(&response).into_owned()
+}
+
 fn full_round_trip(server: &Server) {
     let mut s = connect(server);
     s.write_all(&predict_request(64)).expect("write");
@@ -92,8 +100,13 @@ fn slowloris_stall_hits_the_read_deadline() {
             text.starts_with("HTTP/1.1 408 "),
             "expected a 408 before the close, got: {text:?}"
         );
-        wait_for_stats(&server, "slot freed + timeout counted", |st| {
-            st.active == 0 && st.timeouts == 1 && st.closed == 1
+        // The 408 answers the cut-off request: one request, one response.
+        wait_for_stats(&server, "slot freed + timeout and 408 counted", |st| {
+            st.active == 0
+                && st.timeouts == 1
+                && st.closed == 1
+                && st.requests == 1
+                && st.responses == 1
         });
         server.stop();
     }
@@ -172,6 +185,9 @@ fn garbage_bytes_answered_with_400_then_close() {
         let text = String::from_utf8_lossy(&response);
         assert!(text.starts_with("HTTP/1.1 400 "), "got: {text}");
         assert!(text.contains("\r\nConnection: close\r\n"));
+        // The refusal is recorded like any answered request, with no model.
+        let dump = get(&server, "/debug/requests");
+        assert!(dump.contains("\"model\":null,\"status\":400,"), "no 400 record: {dump}");
         full_round_trip(&server);
         server.stop();
     }

@@ -5,7 +5,7 @@
 //! float formatting, so nothing is lost in transit).
 
 use pecan_serve::client::HttpClient;
-use pecan_serve::{demo, json, SchedulerConfig, Server, ServerConfig};
+use pecan_serve::{demo, json, EngineRegistry, FrozenEngine, SchedulerConfig, Server, ServerConfig};
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -24,17 +24,18 @@ impl Client {
     }
 }
 
+/// Serves `engine` as a one-model registry on an ephemeral port.
+fn serve(engine: Arc<FrozenEngine>, scheduler: SchedulerConfig) -> Server {
+    let registry = EngineRegistry::new();
+    registry.register(engine, scheduler).expect("register");
+    Server::start_registry(registry, ServerConfig::default()).expect("bind ephemeral port")
+}
+
 #[test]
 fn full_protocol_round_trip() {
     let engine = Arc::new(demo::mlp_engine(31));
-    let server = Server::start(
-        engine.clone(),
-        ServerConfig {
-            scheduler: SchedulerConfig { max_batch: 8, workers: 1, ..Default::default() },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
+    let server =
+        serve(engine.clone(), SchedulerConfig { max_batch: 8, workers: 1, ..Default::default() });
     let addr = server.local_addr();
     let mut client = Client::connect(addr);
 
@@ -106,7 +107,7 @@ fn full_protocol_round_trip() {
 #[test]
 fn shutdown_endpoint_stops_the_server() {
     let engine = Arc::new(demo::mlp_engine(32));
-    let server = Server::start(engine, ServerConfig::default()).expect("bind");
+    let server = serve(engine, SchedulerConfig::default());
     let addr = server.local_addr();
     let waiter = std::thread::spawn(move || server.run());
     let mut client = Client::connect(addr);
@@ -118,7 +119,7 @@ fn shutdown_endpoint_stops_the_server() {
 #[test]
 fn lenet_served_over_http_matches_engine() {
     let engine = Arc::new(demo::lenet_engine(33));
-    let server = Server::start(engine.clone(), ServerConfig::default()).expect("bind");
+    let server = serve(engine.clone(), SchedulerConfig::default());
     let mut client = Client::connect(server.local_addr());
     let input: Vec<f32> = (0..engine.input_len()).map(|i| (i as f32 * 0.011).cos()).collect();
     let (status, body) = client.call("POST", "/predict", &json::format_f32_array(&input));

@@ -8,7 +8,8 @@
 use pecan_serve::client::HttpClient;
 use pecan_serve::obs::metrics::find_sample;
 use pecan_serve::{
-    demo, json, BatchRunner, EngineRegistry, SchedulerConfig, ServeError, Server, ServerConfig,
+    demo, json, BatchRunner, EngineRegistry, FrozenEngine, SchedulerConfig, ServeError, Server,
+    ServerConfig,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -24,6 +25,21 @@ fn front_end_flags() -> Vec<bool> {
     } else {
         vec![false]
     }
+}
+
+/// Serves `engine` as a one-model registry on the default scheduler.
+fn serve(engine: Arc<FrozenEngine>, config: ServerConfig) -> Server {
+    serve_with(engine, SchedulerConfig::default(), config)
+}
+
+fn serve_with(
+    engine: Arc<FrozenEngine>,
+    scheduler: SchedulerConfig,
+    config: ServerConfig,
+) -> Server {
+    let registry = EngineRegistry::new();
+    registry.register(engine, scheduler).expect("register");
+    Server::start_registry(registry, config).expect("bind")
 }
 
 fn call(client: &mut HttpClient, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -115,15 +131,11 @@ fn buckets_of(text: &str, name: &str, model: &str) -> Vec<(f64, u64)> {
 fn metrics_exposition_is_valid_and_agrees_with_stats() {
     for event_loop in front_end_flags() {
         let engine = Arc::new(demo::mlp_engine(77));
-        let server = Server::start(
+        let server = serve_with(
             Arc::clone(&engine),
-            ServerConfig {
-                scheduler: SchedulerConfig { max_batch: 4, workers: 1, ..Default::default() },
-                event_loop,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
+            SchedulerConfig { max_batch: 4, workers: 1, ..Default::default() },
+            ServerConfig { event_loop, ..ServerConfig::default() },
+        );
         let mut client = HttpClient::connect(server.local_addr()).expect("connect");
 
         // Traffic: five good predictions, one 400, one 404.
@@ -211,11 +223,10 @@ fn metrics_exposition_is_valid_and_agrees_with_stats() {
 #[test]
 fn metrics_content_type_is_prometheus_text() {
     for event_loop in front_end_flags() {
-        let server = Server::start(
+        let server = serve(
             Arc::new(demo::mlp_engine(78)),
             ServerConfig { event_loop, ..ServerConfig::default() },
-        )
-        .expect("bind");
+        );
         let mut s = TcpStream::connect(server.local_addr()).expect("connect");
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         s.write_all(b"GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").expect("write");
@@ -234,11 +245,10 @@ fn metrics_content_type_is_prometheus_text() {
 fn debug_requests_replays_recent_spans() {
     for event_loop in front_end_flags() {
         let engine = Arc::new(demo::mlp_engine(79));
-        let server = Server::start(
+        let server = serve(
             Arc::clone(&engine),
             ServerConfig { event_loop, flight_records: 8, ..ServerConfig::default() },
-        )
-        .expect("bind");
+        );
         let mut client = HttpClient::connect(server.local_addr()).expect("connect");
 
         let input: Vec<f32> = (0..engine.input_len()).map(|i| (i as f32 * 0.2).sin()).collect();
@@ -288,11 +298,8 @@ fn debug_trace_captures_spans_on_both_front_ends() {
     let _turn = TRACING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     for event_loop in front_end_flags() {
         let engine = Arc::new(demo::mlp_engine(81));
-        let server = Server::start(
-            Arc::clone(&engine),
-            ServerConfig { event_loop, ..ServerConfig::default() },
-        )
-        .expect("bind");
+        let server =
+            serve(Arc::clone(&engine), ServerConfig { event_loop, ..ServerConfig::default() });
         let addr = server.local_addr().to_string();
 
         // Background traffic for the capture window to observe.

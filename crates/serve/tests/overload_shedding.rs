@@ -193,15 +193,17 @@ fn queue_pressure_sheds_with_typed_503() {
 #[test]
 fn connection_cap_sheds_new_sockets() {
     for event_loop in front_end_flags() {
+        let registry = EngineRegistry::new();
+        let scheduler = SchedulerConfig { max_batch: 1, ..SchedulerConfig::default() };
+        let engine = Arc::new(pecan_serve::demo::mlp_engine(42));
+        registry.register(engine, scheduler).expect("register");
         let config = ServerConfig {
-            scheduler: SchedulerConfig { max_batch: 1, ..SchedulerConfig::default() },
             event_loop,
             max_connections: 2,
             read_timeout: Duration::from_secs(5),
             ..ServerConfig::default()
         };
-        let server =
-            Server::start(Arc::new(pecan_serve::demo::mlp_engine(42)), config).expect("start");
+        let server = Server::start_registry(registry, config).expect("start");
 
         // Fill both slots with live keep-alive connections.
         let mut held: Vec<TcpStream> = (0..2).map(|_| connect(&server)).collect();
@@ -277,6 +279,34 @@ fn blocking_jobs_beyond_the_cap_are_shed_with_503() {
         assert!(answer.starts_with("HTTP/1.1 200 OK\r\n"), "slots released: {answer}");
         assert_eq!(server.conn_stats().shed_requests, 1);
         server.stop();
+    }
+}
+
+/// A connection reset while its request is still being answered: the
+/// request is answered all the same, so after the drain it counts once in
+/// `requests` and once in `responses` on both front ends. The request is
+/// a one-second trace capture, so `stop` starts while it still runs.
+#[test]
+fn shutdown_counts_answers_to_connections_already_gone() {
+    for event_loop in front_end_flags() {
+        let gated = start_gated(event_loop, 8);
+        let mut gone = connect(&gated.server);
+        gone.write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /debug/trace?ms=1000 HTTP/1.1\r\n\r\n")
+            .expect("write");
+        // The `/healthz` answer arrives and is left unread, so the close
+        // below resets the connection.
+        gone.peek(&mut [0u8; 1]).expect("healthz answer arrives");
+        wait_for_stats(&gated.server, "capture running", |st| st.handling == 1);
+        drop(gone);
+        if event_loop {
+            // The event loop frees the slot at once; the threaded handler
+            // only learns of the reset when it writes.
+            wait_for_stats(&gated.server, "reset connection closed", |st| st.active == 0);
+        }
+        gated.server.stop();
+        let snapshot = gated.server.conn_stats();
+        assert_eq!(snapshot.requests, 2, "healthz + capture: {snapshot:?}");
+        assert_eq!(snapshot.responses, 2, "the capture was answered: {snapshot:?}");
     }
 }
 

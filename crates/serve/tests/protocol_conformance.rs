@@ -6,22 +6,24 @@
 //! **byte-identical** on the wire (the only masked bytes are the
 //! `latency_us` digits inside predict bodies, which measure wall clock).
 
-use pecan_serve::{demo, SchedulerConfig, Server, ServerConfig};
+use pecan_serve::{demo, ConnStatsSnapshot, EngineRegistry, SchedulerConfig, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One server per front end, same seeded model, batching disabled so
 /// `batch_size` is deterministic.
 fn start(event_loop: bool) -> Server {
+    let registry = EngineRegistry::new();
+    let scheduler = SchedulerConfig { max_batch: 1, ..SchedulerConfig::default() };
+    registry.register(Arc::new(demo::mlp_engine(42)), scheduler).expect("register");
     let config = ServerConfig {
-        scheduler: SchedulerConfig { max_batch: 1, ..SchedulerConfig::default() },
         event_loop,
         read_timeout: Duration::from_secs(5),
         ..ServerConfig::default()
     };
-    Server::start(Arc::new(demo::mlp_engine(42)), config).expect("server starts")
+    Server::start_registry(registry, config).expect("server starts")
 }
 
 /// Front ends to exercise: threaded always, the event loop where built.
@@ -172,8 +174,47 @@ fn front_ends_answer_byte_identically() {
             "case {i} did not produce an HTTP response"
         );
     }
+    // The same traffic leaves the same counters on both front ends, and
+    // every answered request — refusals included — counts once in
+    // `requests` and once in `responses`. The threaded front end counts
+    // a response after its write and a close after the socket drops, so
+    // poll until the counters settle.
+    let counters: Vec<ConnStatsSnapshot> = servers.iter().map(settled_counters).collect();
+    for c in &counters {
+        assert_eq!(c.requests, c.responses, "every request answered once: {c:?}");
+        assert_eq!(c.inflight, 0, "{c:?}");
+    }
+    for pair in counters.windows(2) {
+        let (a, b) = (&pair[0], &pair[1]);
+        for (field, x, y) in [
+            ("accepted", a.accepted, b.accepted),
+            ("closed", a.closed, b.closed),
+            ("requests", a.requests, b.requests),
+            ("responses", a.responses, b.responses),
+            ("timeouts", a.timeouts, b.timeouts),
+            ("shed_connections", a.shed_connections, b.shed_connections),
+            ("shed_requests", a.shed_requests, b.shed_requests),
+        ] {
+            assert_eq!(x, y, "front ends disagree on `{field}`:\n{a:?}\n{b:?}");
+        }
+    }
     for s in servers {
         s.stop();
+    }
+}
+
+/// `server`'s connection counters once every connection has closed and
+/// every request has its response counted, or as they stand after five
+/// seconds.
+fn settled_counters(server: &Server) -> ConnStatsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let c = server.conn_stats();
+        let settled = c.closed == c.accepted && c.requests == c.responses && c.inflight == 0;
+        if settled || Instant::now() > deadline {
+            return c;
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

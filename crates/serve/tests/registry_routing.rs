@@ -97,9 +97,11 @@ fn models_route_independently_and_bits_match() {
 
 #[test]
 fn single_engine_start_keeps_legacy_routes() {
-    // The PR-4 entry point still works: one engine, bare routes.
+    // A one-model registry serves its model on the bare routes.
     let engine = Arc::new(demo::mlp_engine(43));
-    let server = Server::start(engine.clone(), ServerConfig::default()).expect("bind");
+    let registry = EngineRegistry::new();
+    registry.register(engine.clone(), SchedulerConfig::default()).expect("register");
+    let server = Server::start_registry(registry, ServerConfig::default()).expect("bind");
     let mut client = HttpClient::connect(server.local_addr()).expect("connect");
     let input = input_for(&engine, 0.4);
     let (status, body) = client.call("POST", "/predict", &json::format_f32_array(&input)).unwrap();

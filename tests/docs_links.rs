@@ -13,9 +13,12 @@
 //!
 //! Fenced code blocks are ignored on both sides: links inside them are
 //! not checked, and headings inside them do not create anchors.
+//!
+//! The Rust sources are held to the same standard: a markdown file a doc
+//! comment cites by path must exist.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -211,6 +214,62 @@ fn docs_cross_reference_each_other_and_the_code() {
     for doc in ["docs/architecture.md", "docs/serving-ops.md", "docs/snapshot-format.md"] {
         assert!(readme.contains(doc), "README must link {doc}");
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for e in entries.flatten() {
+        let path = e.path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().and_then(|x| x.to_str()) == Some("rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every backticked `*.md` path in a Rust doc comment (`///`, `//!`)
+/// under `crates/`, `src/`, `examples/` and `tests/` names a file that
+/// exists relative to the repo root. Patterns such as `results/<id>.md`
+/// (written at run time) or a glob are not paths and are skipped.
+#[test]
+fn doc_comments_cite_markdown_files_that_exist() {
+    let root = repo_root();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "examples", "tests"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    let mut cited = 0;
+    let mut failures = Vec::new();
+    for file in &sources {
+        let text = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", file.display()));
+        for (n, line) in text.lines().enumerate() {
+            let line = line.trim_start();
+            if !line.starts_with("///") && !line.starts_with("//!") {
+                continue;
+            }
+            // Every other piece between backticks is inline code.
+            for code in line.split('`').skip(1).step_by(2) {
+                let is_path = code.ends_with(".md")
+                    && code.chars().all(|c| c.is_ascii_alphanumeric() || "/._-".contains(c));
+                if !is_path {
+                    continue;
+                }
+                cited += 1;
+                if !root.join(code).is_file() {
+                    let shown = file.strip_prefix(&root).unwrap_or(file).display();
+                    failures.push(format!("{shown}:{}: `{code}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        cited >= 10,
+        "suspiciously few citations checked ({cited}) — extractor regression?"
+    );
+    assert!(failures.is_empty(), "doc comments cite missing files:\n{}", failures.join("\n"));
 }
 
 #[test]
