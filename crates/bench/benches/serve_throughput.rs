@@ -6,8 +6,9 @@
 //! * **scheduler/…** — 64 MLP requests pushed through a [`BatchScheduler`]
 //!   by 8 concurrent submitter threads, at `max_batch ∈ {1, 8, 32}` with a
 //!   single inference worker — so the entries isolate exactly what request
-//!   coalescing buys on the engine's batch kernels (`max_batch = 1` *is*
-//!   the unbatched baseline; everything else about the pipeline is
+//!   coalescing buys (`max_batch = 1` *is* the unbatched baseline, whose
+//!   CAM searches run the prototype-lane kernel; larger batches run the
+//!   lane-blocked one, and everything else about the pipeline is
 //!   identical). A direct `predict_batch` entry bounds the scheduler's own
 //!   overhead from above.
 //! * **batch_carry/…** — the same sweep over the *convolutional* LeNet
@@ -20,9 +21,10 @@
 //!   batched win over `b1`.
 //!
 //! Reported times are per request wave; medians land in
-//! `target/bench/*.json` for the `bench-diff` regression gate, and the CI
-//! e2e job cross-checks the ≥2× batched speedup over real sockets with
-//! `loadgen`.
+//! `target/bench/*.json` for the `bench-diff` regression gate. Over real
+//! sockets, the CI e2e jobs check with `loadgen` that the batcher
+//! coalesces (mean batch ≥ 4) and that batching keeps at least half the
+//! unbatched throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pecan_serve::{demo, BatchScheduler, FrozenEngine, SchedulerConfig};

@@ -20,6 +20,9 @@ pub struct SearchResult {
 #[derive(Debug, Clone)]
 pub struct AnalogCam {
     rows: Tensor, // [p, d]
+    /// The same cells column-major (`[d, p]`), the layout few-query
+    /// searches scan; rebuilt whenever `rows` changes.
+    cols: Vec<f32>,
 }
 
 impl AnalogCam {
@@ -33,7 +36,8 @@ impl AnalogCam {
         if rows.dims()[0] == 0 || rows.dims()[1] == 0 {
             return Err(ShapeError::new("CAM array must be non-empty"));
         }
-        Ok(Self { rows })
+        let cols = pecan_index::transpose_rows(rows.data(), rows.dims()[1]);
+        Ok(Self { rows, cols })
     }
 
     /// Programs the array and perturbs every cell with `N(0, sigma²)` noise,
@@ -52,6 +56,7 @@ impl AnalogCam {
             for v in cam.rows.data_mut() {
                 *v += gaussian(rng) * sigma;
             }
+            cam.cols = pecan_index::transpose_rows(cam.rows.data(), cam.width());
         }
         Ok(cam)
     }
@@ -94,27 +99,27 @@ impl AnalogCam {
     /// occupying `queries[i*d..(i+1)*d]`) and returns the winning row per
     /// query.
     ///
-    /// Runs the blocked scan kernel from `pecan-index` ([Quick-ADC-style
-    /// lane blocking](pecan_index::l1_argmin_batch)), which amortizes each
-    /// stored-cell load over [`pecan_index::LANES`] queries — identical
-    /// winners and scores to calling [`AnalogCam::search`] per query,
-    /// several times the throughput.
+    /// The query count picks the `pecan-index` kernel: at most
+    /// [`pecan_index::FEW_QUERIES`] queries run the [prototype-lane
+    /// scan](pecan_index::l1_argmin_lanes) once per query, which fills
+    /// every vector lane even at batch 1; more run the [Quick-ADC-style
+    /// lane-blocked scan](pecan_index::l1_argmin_batch), which amortizes
+    /// each stored-cell load over [`pecan_index::LANES`] queries. Either
+    /// way the winners and scores are identical to calling
+    /// [`AnalogCam::search`] per query.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] when `queries.len()` is not a multiple of `d`.
     pub fn search_batch(&self, queries: &[f32]) -> Result<Vec<SearchResult>, ShapeError> {
-        if queries.len() % self.width() != 0 {
+        let d = self.width();
+        if queries.len() % d != 0 {
             return Err(ShapeError::new(format!(
-                "query buffer of {} is not a multiple of CAM width {}",
-                queries.len(),
-                self.width()
+                "query buffer of {} is not a multiple of CAM width {d}",
+                queries.len()
             )));
         }
-        Ok(pecan_index::l1_argmin_batch(self.rows.data(), self.width(), queries)
-            .into_iter()
-            .map(|(row, dist)| SearchResult { row, score: -dist })
-            .collect())
+        Ok(self.search_queries(queries, d, 0, queries.len() / d, &mut Vec::new()))
     }
 
     /// Searches `count` queries embedded in a larger column-major buffer:
@@ -122,8 +127,10 @@ impl AnalogCam {
     /// the batch-first serving entry point — a pipeline carrying one
     /// contiguous `[features, batch]` activation matrix hands each codebook
     /// group's sub-rows straight to the CAM without materializing a
-    /// per-group matrix first (the gather into the lane-blocked scan
-    /// buffer happens here, once).
+    /// per-group matrix first. It picks its kernel as
+    /// [`AnalogCam::search_batch`] does: the prototype-lane scan reads each
+    /// query in place, and the lane-blocked scan gathers the queries into
+    /// its query-major buffer here, once.
     ///
     /// Winners and scores are bit-identical to [`AnalogCam::search`] per
     /// query.
@@ -142,9 +149,11 @@ impl AnalogCam {
         self.search_strided_into(data, stride, offset, count, &mut Vec::new())
     }
 
-    /// [`AnalogCam::search_strided`] gathering into a caller-owned scratch
-    /// buffer (cleared and resized as needed) — repeated per-group calls
-    /// on a serving hot path reuse one allocation across all groups.
+    /// [`AnalogCam::search_strided`] with a caller-owned scratch buffer
+    /// (cleared and resized as needed) for the prototype-lane scan's
+    /// distances or the lane-blocked scan's gathered queries — repeated
+    /// per-group calls on a serving hot path reuse one allocation across
+    /// all groups.
     ///
     /// # Errors
     ///
@@ -166,13 +175,42 @@ impl AnalogCam {
                 data.len()
             )));
         }
-        scratch.clear();
-        scratch.resize(count * d, 0.0);
-        for i in 0..count {
-            let from = i * stride + offset;
-            scratch[i * d..(i + 1) * d].copy_from_slice(&data[from..from + d]);
+        Ok(self.search_queries(data, stride, offset, count, scratch))
+    }
+
+    /// The one kernel choice behind every multi-query search, on queries
+    /// the caller has bounds-checked: query `i` is
+    /// `data[i·stride + offset ..][..d]`.
+    fn search_queries(
+        &self,
+        data: &[f32],
+        stride: usize,
+        offset: usize,
+        count: usize,
+        scratch: &mut Vec<f32>,
+    ) -> Vec<SearchResult> {
+        let d = self.width();
+        let hit = |(row, dist): (usize, f32)| SearchResult { row, score: -dist };
+        if count <= pecan_index::FEW_QUERIES {
+            return (0..count)
+                .map(|i| {
+                    let query = &data[i * stride + offset..i * stride + offset + d];
+                    hit(pecan_index::l1_argmin_lanes(&self.cols, d, query, scratch))
+                })
+                .collect();
         }
-        self.search_batch(scratch)
+        let queries = if stride == d && offset == 0 {
+            &data[..count * d]
+        } else {
+            scratch.clear();
+            scratch.resize(count * d, 0.0);
+            for i in 0..count {
+                let from = i * stride + offset;
+                scratch[i * d..(i + 1) * d].copy_from_slice(&data[from..from + d]);
+            }
+            &scratch[..]
+        };
+        pecan_index::l1_argmin_batch(self.rows.data(), d, queries).into_iter().map(hit).collect()
     }
 }
 
@@ -332,21 +370,32 @@ mod tests {
 
     #[test]
     fn strided_search_matches_single_search() {
-        let cam = cam_3x2();
-        // three "columns" of 5 features each; the query lives at offset 2
-        let stride = 5;
-        let mut data = vec![9.0f32; 3 * stride];
-        let queries = [[0.1, -0.1], [0.9, 0.8], [-1.5, 1.9]];
-        for (i, q) in queries.iter().enumerate() {
-            data[i * stride + 2..i * stride + 4].copy_from_slice(q);
-        }
-        let hits = cam.search_strided(&data, stride, 2, 3).unwrap();
-        for (hit, q) in hits.iter().zip(&queries) {
-            assert_eq!(*hit, cam.search(q).unwrap());
+        // Counts 1..=9 cross from the prototype-lane kernel to the blocked
+        // one. The noisy CAM's column copy must follow its noisy rows, or
+        // the few-query counts would score the clean ones.
+        let (p, d, stride, offset) = (37, 5, 8, 2);
+        let mut rng = StdRng::seed_from_u64(3);
+        let rows = pecan_tensor::uniform(&mut rng, &[p, d], -1.0, 1.0);
+        let data = pecan_tensor::uniform(&mut rng, &[9 * stride], -1.0, 1.0).into_vec();
+        let clean = AnalogCam::new(rows.clone()).unwrap();
+        let noisy = AnalogCam::with_noise(rows, 0.5, &mut rng).unwrap();
+        let mut scratch = Vec::new();
+        for cam in [&clean, &noisy] {
+            for count in 1..=9 {
+                let queries: Vec<&[f32]> =
+                    (0..count).map(|i| &data[i * stride + offset..][..d]).collect();
+                let want: Vec<SearchResult> =
+                    queries.iter().map(|q| cam.search(q).unwrap()).collect();
+                let strided = cam.search_strided(&data, stride, offset, count).unwrap();
+                assert_eq!(strided, want, "count {count}");
+                let reused = cam.search_strided_into(&data, stride, offset, count, &mut scratch);
+                assert_eq!(reused.unwrap(), want, "count {count}");
+                assert_eq!(cam.search_batch(&queries.concat()).unwrap(), want, "count {count}");
+            }
         }
         // overruns are typed errors, not panics
-        assert!(cam.search_strided(&data, stride, 4, 3).is_err());
-        assert!(cam.search_strided(&data, stride, 0, 4).is_err());
+        assert!(clean.search_strided(&data, stride, 4, 9).is_err());
+        assert!(clean.search_strided(&data, stride, offset, 10).is_err());
     }
 
     #[test]

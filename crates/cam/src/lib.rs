@@ -17,12 +17,17 @@
 //! * [`fixed`] — an integer-only (int16 query / int32 accumulate) pipeline
 //!   demonstrating that PECAN-D needs no floating-point multiplier at all.
 //!
-//! Batch workloads ([`AnalogCam::search_batch`], [`fixed::FixedCam::search_batch`]
-//! and the batch-first serving entry point [`AnalogCam::search_strided`],
+//! [`AnalogCam`]'s multi-query searches ([`AnalogCam::search_batch`] and
+//! the batch-first serving entry point [`AnalogCam::search_strided`],
 //! which reads each codebook group's queries straight out of a
-//! column-major `[features, batch]` activation buffer) run on the blocked
-//! scan kernel from [`pecan_index`]; the one-query searches run that
-//! crate's reference scan, and all paths return identical winners.
+//! column-major `[features, batch]` activation buffer) pick their
+//! [`pecan_index`] kernel by query count alone: at most
+//! [`pecan_index::FEW_QUERIES`] queries — every search of a request
+//! served at batch 1 — run the prototype-lane scan over a `[d, p]` copy
+//! of the array the CAM keeps beside its `[p, d]` rows, and more run the
+//! lane-blocked scan. [`fixed::FixedCam::search_batch`] always runs the
+//! lane-blocked scan, and the one-query searches run that crate's
+//! reference scan. All paths return identical winners.
 //!
 //! # Example
 //!

@@ -260,11 +260,12 @@ impl LayerLut {
     /// one contiguous matrix and leaves as one contiguous matrix, so
     /// consecutive LUT layers can chain without ever splitting the batch
     /// into per-sample buffers. PECAN-D hands each codebook group's
-    /// sub-rows to [`AnalogCam::search_strided`] — the blocked
-    /// `pecan-index` scan answering all columns of a group at once —
-    /// straight out of the batch buffer; per-column accumulation order
-    /// (bias, then groups in ascending order) matches the historical
-    /// per-column loop, so outputs are bit-identical to it.
+    /// sub-rows to [`AnalogCam::search_strided_into`] straight out of the
+    /// batch buffer, one call answering all columns of a group: on the
+    /// prototype-lane `pecan-index` scan for at most four columns (batch 1
+    /// among them), on the lane-blocked scan above that. Per-column
+    /// accumulation order (bias, then groups in ascending order) matches
+    /// the historical per-column loop, so outputs are bit-identical to it.
     ///
     /// Training-path tools that still hold a row-major `[rows, cols]`
     /// [`Tensor`] should call [`LayerLut::forward_matrix`], the thin shim
@@ -495,6 +496,28 @@ mod tests {
         engine.perturb_prototypes(5.0, &mut rng); // huge noise
         let noisy = engine.forward_matrix(&cols, None).unwrap();
         assert!(clean.max_abs_diff(&noisy) > 0.0);
+
+        // Both kernels scan the noisy rows: strided searches of 1..=9
+        // columns (prototype-lane up to four, blocked above) agree with
+        // the one-query scan, and so do whole forwards.
+        let (rows, d) = (engine.config.rows(), engine.config.dim());
+        let data = pecan_tensor::uniform(&mut rng, &[9 * rows], -1.0, 1.0).into_vec();
+        for (j, cam) in engine.analog.iter().enumerate() {
+            for count in 1..=9 {
+                let hits = cam.search_strided(&data, rows, j * d, count).unwrap();
+                for (i, hit) in hits.iter().enumerate() {
+                    let query = &data[i * rows + j * d..][..d];
+                    assert_eq!(*hit, cam.search(query).unwrap(), "group {j} count {count}");
+                }
+            }
+        }
+        let batch = InferBatch::from_data(data.clone(), &[rows], 9).unwrap();
+        let together = engine.forward_cols(batch, None).unwrap();
+        for (i, column) in data.chunks_exact(rows).enumerate() {
+            let one = InferBatch::from_data(column.to_vec(), &[rows], 1).unwrap();
+            let alone = engine.forward_cols(one, None).unwrap();
+            assert_eq!(alone.data(), together.col(i), "column {i}");
+        }
     }
 
     #[test]

@@ -1,19 +1,29 @@
-/// Number of queries processed together by the blocked kernel.
+/// Number of queries processed together by the blocked kernel, and of
+/// argmin strands in the prototype-lane kernel.
 ///
 /// Eight `f32` lanes fill a 256-bit vector register; the accumulator array
 /// of a block fits comfortably in registers, which is what lets the scalar
 /// loop auto-vectorize.
 pub const LANES: usize = 8;
 
-/// Element types the blocked L1 kernel can scan: `f32` (the analog CAM) and
-/// `i16` accumulated in `i32` (the fixed-point CAM).
+/// The most queries per call that `AnalogCam` answers with
+/// [`l1_argmin_lanes`], once per query, rather than with
+/// [`l1_argmin_batch`].
 ///
-/// Distances accumulate in ascending element order regardless of type, so
-/// winners are bit-identical to the corresponding one-query-at-a-time scan.
+/// The `cam_search` bench sets it: at both demo shapes the prototype-lane
+/// kernel is faster up to four queries and the blocked kernel from eight.
+pub const FEW_QUERIES: usize = LANES / 2;
+
+/// Element types the L1 kernels can scan: `f32` (the analog CAM) and `i16`
+/// accumulated in `i32` (the fixed-point CAM).
+///
+/// Distances accumulate in ascending element order regardless of type and
+/// kernel, so winners are bit-identical to the one-query reference scan.
 pub trait L1Element: Copy {
     /// Accumulator type for summed distances.
     type Acc: Copy + PartialOrd;
-    /// Padding value for the tail block (its results are discarded).
+    /// Padding value for the blocked kernel's tail block (its results are
+    /// discarded).
     const ZERO: Self;
     /// Additive identity of the accumulator.
     const ZERO_ACC: Self::Acc;
@@ -58,9 +68,10 @@ impl L1Element for i16 {
 /// Exhaustive single-query L1 argmin over a flattened `[p, width]`
 /// prototype buffer: `(winning row, distance)`, first row winning ties,
 /// distances accumulated in ascending element order. `pecan-cam`'s
-/// one-query searches run it, and it is the oracle [`l1_argmin_batch`] is
-/// tested against — one copy is what makes their bit-identical agreement a
-/// local property rather than a cross-crate convention.
+/// one-query searches run it, and it is the oracle [`l1_argmin_lanes`] and
+/// [`l1_argmin_batch`] are tested against — one copy is what makes their
+/// bit-identical agreement a local property rather than a cross-crate
+/// convention.
 ///
 /// # Panics
 ///
@@ -86,6 +97,99 @@ pub fn l1_argmin<E: L1Element>(rows: &[E], width: usize, query: &[E]) -> (usize,
         if dist < best_dist {
             best_dist = dist;
             best_row = r;
+        }
+    }
+    (best_row, best_dist)
+}
+
+/// Copies a flattened `[p, width]` prototype buffer into the column-major
+/// `[width, p]` layout [`l1_argmin_lanes`] scans: element `k` of every
+/// prototype, in row order, then element `k + 1`.
+///
+/// # Panics
+///
+/// Panics when `width` is zero or `rows` is not whole rows.
+pub fn transpose_rows<E: Copy>(rows: &[E], width: usize) -> Vec<E> {
+    // analyze: allow(hot-path-panic) -- caller bug: `AnalogCam::new`
+    // checks the shape and returns a typed error first.
+    assert!(width > 0 && rows.len() % width == 0, "prototype buffer must hold whole rows");
+    let mut cols = Vec::with_capacity(rows.len());
+    for k in 0..width {
+        cols.extend(rows.chunks_exact(width).map(|row| row[k]));
+    }
+    cols
+}
+
+/// Prototype-lane L1 argmin of one query over a column-major `[width, p]`
+/// prototype buffer (see [`transpose_rows`]): `(winning row, distance)`,
+/// first row winning ties.
+///
+/// This is Quick ADC's one-query layout: lanes run across prototypes, so
+/// the inner loop broadcasts one query element against `p` contiguous
+/// cells and every vector lane does useful work even for a single query,
+/// where [`l1_argmin_batch`] fills one of its [`LANES`]. The `p` distances
+/// land in `dist`, a caller-owned buffer (cleared and resized), and one
+/// pass then picks the winner. Distances accumulate in ascending element
+/// order and the pass keeps the first row on ties (strict `<`), so the
+/// result is bit-identical to [`l1_argmin`] on the `[p, width]` rows: a
+/// NaN distance never wins, and an all-NaN scan answers `(0, MAX_ACC)`.
+/// It opens no span; its callers' spans cover it.
+///
+/// # Panics
+///
+/// Panics when `width` is zero, `cols` is empty or not whole columns, or
+/// the query length is not `width`.
+pub fn l1_argmin_lanes<E: L1Element>(
+    cols: &[E],
+    width: usize,
+    query: &[E],
+    dist: &mut Vec<E::Acc>,
+) -> (usize, E::Acc) {
+    // analyze: allow(hot-path-panic) -- caller bug: `AnalogCam` checks
+    // these shapes and returns a typed error first.
+    assert!(width > 0, "width must be non-zero");
+    assert!(
+        !cols.is_empty() && cols.len() % width == 0,
+        "prototype buffer must hold whole rows"
+    );
+    // analyze: allow(hot-path-panic) -- caller bug, as above.
+    assert!(query.len() == width, "query length must equal width");
+    let p = cols.len() / width;
+    dist.clear();
+    dist.resize(p, E::ZERO_ACC);
+    for (column, &q) in cols.chunks_exact(p).zip(query) {
+        for (acc, &cell) in dist.iter_mut().zip(column) {
+            *acc = E::add(*acc, q.abs_diff(cell));
+        }
+    }
+    // The argmin runs as LANES interleaved strands (row r in strand
+    // r % LANES), each keeping its first strict minimum so the compares
+    // vectorize; merging the strands by (distance, row) restores the
+    // first-row rule. A NaN never compares less, so it never wins.
+    let mut strand_dist = [E::MAX_ACC; LANES];
+    let mut strand_row = [0usize; LANES];
+    let mut blocks = dist.chunks_exact(LANES);
+    for (b, block) in (&mut blocks).enumerate() {
+        for l in 0..LANES {
+            if block[l] < strand_dist[l] {
+                strand_dist[l] = block[l];
+                strand_row[l] = b * LANES + l;
+            }
+        }
+    }
+    let mut best_row = 0usize;
+    let mut best_dist = E::MAX_ACC;
+    for (&d, &r) in strand_dist.iter().zip(&strand_row) {
+        if d < best_dist || (d == best_dist && r < best_row) {
+            best_dist = d;
+            best_row = r;
+        }
+    }
+    let tail = p - blocks.remainder().len();
+    for (r, &d) in blocks.remainder().iter().enumerate() {
+        if d < best_dist {
+            best_dist = d;
+            best_row = tail + r;
         }
     }
     (best_row, best_dist)
@@ -231,7 +335,11 @@ mod tests {
         for (rows, width) in [(&[0.0f32; 6][..], 0), (&[][..], 3), (&[0.0; 4][..], 3)] {
             assert!(panics(|| l1_argmin(rows, width, &vec![0.0; width])), "{rows:?}/{width}");
             assert!(panics(|| l1_argmin_batch(rows, width, &[])), "{rows:?}/{width}");
+            let lanes = || l1_argmin_lanes(rows, width, &vec![0.0; width], &mut Vec::new());
+            assert!(panics(lanes), "{rows:?}/{width}");
         }
+        assert!(panics(|| transpose_rows(&[0.0f32; 6], 0)));
+        assert!(panics(|| transpose_rows(&[0.0f32; 4], 3)));
         // six values of width 3 are two rows; the second is an exact match
         let rows = [0.0f32, 0.0, 0.0, 1.0, 1.0, 1.0];
         assert_eq!(l1_argmin(&rows, 3, &[1.0; 3]), (1, 0.0));
@@ -246,5 +354,31 @@ mod tests {
         assert!(panics(|| l1_argmin_batch(&[0.0f32; 4], 2, &[0.0; 5])));
         assert!(!panics(|| l1_argmin_batch(&[0.0f32; 4], 2, &[0.0; 4])));
         assert!(l1_argmin_batch(&[0.0f32; 4], 2, &[]).is_empty());
+        assert!(panics(|| l1_argmin_lanes(&[0.0f32; 4], 2, &[0.0; 3], &mut Vec::new())));
+    }
+
+    #[test]
+    fn transpose_rows_lays_prototypes_out_column_major() {
+        // two prototypes of width 3 → element 0 of both, then 1, then 2
+        assert_eq!(transpose_rows(&[1, 2, 3, 4, 5, 6], 3), vec![1, 4, 2, 5, 3, 6]);
+    }
+
+    #[test]
+    fn lanes_kernel_matches_linear_scan_across_strand_tails() {
+        // p from one prototype to past two whole strand blocks, so every
+        // tail length and a winner in every strand occur
+        let mut seed = 11u64;
+        let d = 3;
+        let mut dist = Vec::new();
+        for p in 1..=2 * LANES + 3 {
+            let rows: Vec<f32> = (0..p * d).map(|_| pseudo(&mut seed)).collect();
+            let cols = transpose_rows(&rows, d);
+            for _ in 0..8 {
+                let query: Vec<f32> = (0..d).map(|_| pseudo(&mut seed)).collect();
+                let got = l1_argmin_lanes(&cols, d, &query, &mut dist);
+                assert_eq!(got, l1_argmin(&rows, d, &query), "p={p}");
+                assert_eq!(dist.len(), p);
+            }
+        }
     }
 }

@@ -19,10 +19,10 @@ pub const MLP_OUTPUT: usize = 10;
 
 /// A 64→256→256→10 PECAN-D multi-layer perceptron with ReLU between
 /// layers: the serving workhorse. Sub-vector width 8 and 256 prototypes
-/// per group put the per-request CAM searches squarely in the regime where
-/// the lane-blocked batch scanner outruns one-query-at-a-time scans — the
-/// model the `serve_throughput` bench and the `loadgen` ≥2× demonstration
-/// run on.
+/// per group make CAM search most of its inference time — on the
+/// prototype-lane `pecan-index` scan at batch 1, on the lane-blocked scan
+/// for batches of more than four — so it is the model the
+/// `serve_throughput` bench and the CI `loadgen` batching checks run on.
 pub fn mlp(seed: u64) -> (Sequential, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let settings = PqLayerSettings::new(256, 8, 0.5);

@@ -35,7 +35,7 @@
 //! The serving hot path performs **zero thread spawns per request**: the
 //! scheduler's workers are spawned once at construction and live until
 //! shutdown, and everything a worker calls — `LayerLut::forward_cols`,
-//! `AnalogCam::search_batch`, the `pecan-index` blocked scan kernel, LUT
+//! `AnalogCam::search_strided_into`, the `pecan-index` scan kernels, LUT
 //! accumulation — is spawn-free single-threaded code. The
 //! `std::thread::scope` pool in `pecan-tensor` is only entered by GEMMs,
 //! which serving never issues (the `W·C` products were precomputed at

@@ -14,7 +14,7 @@
 //! | [`core`] | PECAN-A / PECAN-D layers, Algorithm-1 LUT inference, Table-1 complexity model, paper configs, pruning |
 //! | [`pq`] | codebooks, angle/L1 similarity, straight-through estimator, annealed sign gradients |
 //! | [`cam`] | CAM hardware simulator: analog L1 arrays, lookup tables, VIA-Nano cost model, fixed-point pipeline |
-//! | [`index`] | the exhaustive L1 prototype scan: one-query `l1_argmin` and the Quick-ADC-style lane-blocked `l1_argmin_batch` |
+//! | [`index`] | the exhaustive L1 prototype scan: one-query `l1_argmin` (the oracle), the prototype-lane `l1_argmin_lanes` that serving runs for at most `FEW_QUERIES` queries, and the Quick-ADC-style lane-blocked `l1_argmin_batch` it runs above that |
 //! | [`nn`] | conventional layers + the model zoo (LeNet-5, VGG-Small, ResNet-20/32, ConvMixer) |
 //! | [`serve`] | model serving: batch-first `InferBatch`/`Stage` pipeline, frozen engines, named binary snapshots, per-model micro-batching schedulers, multi-model HTTP front end |
 //! | [`autograd`] | tape-based reverse-mode autodiff with SGD/Adam |
