@@ -5,12 +5,13 @@
 //!
 //! * **scheduler/…** — 64 MLP requests pushed through a [`BatchScheduler`]
 //!   by 8 concurrent submitter threads, at `max_batch ∈ {1, 8, 32}` with a
-//!   single inference worker — so the entries isolate exactly what request
-//!   coalescing buys (`max_batch = 1` *is* the unbatched baseline, whose
-//!   CAM searches run the prototype-lane kernel; larger batches run the
-//!   lane-blocked one, and everything else about the pipeline is
-//!   identical). A direct `predict_batch` entry bounds the scheduler's own
-//!   overhead from above.
+//!   single inference worker, which never waits for a batch to fill: a
+//!   batch is the requests the submitters queued while the previous one
+//!   ran. So the entries isolate exactly what request coalescing buys
+//!   (`max_batch = 1` *is* the unbatched baseline, whose CAM searches run
+//!   the prototype-lane kernel; larger batches run the lane-blocked one,
+//!   and everything else about the pipeline is identical). A direct
+//!   `predict_batch` entry bounds the scheduler's own overhead from above.
 //! * **batch_carry/…** — the same sweep over the *convolutional* LeNet
 //!   engine (16 requests, 4 submitters), plus a direct entry: conv models
 //!   cross many stages (conv → pool → flatten → linear), so these entries
@@ -32,7 +33,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 const SUBMITTERS: usize = 8;
 const REQUESTS: usize = 64;
@@ -78,7 +78,6 @@ fn sweep(
             engine.clone(),
             SchedulerConfig {
                 max_batch,
-                max_wait: Duration::from_micros(200),
                 queue_capacity: 1024,
                 workers: 1,
             },

@@ -19,7 +19,8 @@
 //! `--model NAME=PATH` (repeatable; register an extra snapshot under
 //! NAME), `--name NAME` (rename the default model), `--save PATH` (write
 //! the default model and exit without serving), `--seed N`,
-//! `--addr HOST:PORT`, `--max-batch N`, `--max-wait-us N`,
+//! `--addr HOST:PORT`, `--max-batch N` (most requests one batch takes
+//! from the queue; a worker never waits for a batch to fill),
 //! `--queue-cap N`, `--workers N` (scheduler knobs apply to every model).
 //!
 //! Lifecycle knobs: `--mmap` (serve snapshots straight from page cache
@@ -61,7 +62,6 @@ struct Args {
     seed: u64,
     addr: String,
     max_batch: usize,
-    max_wait_us: u64,
     queue_cap: usize,
     workers: usize,
     event_loop: bool,
@@ -85,7 +85,6 @@ fn parse_args() -> Result<Args, String> {
         seed: 1,
         addr: "127.0.0.1:0".into(),
         max_batch: 16,
-        max_wait_us: 200,
         queue_cap: 256,
         workers: 1,
         event_loop: false,
@@ -120,9 +119,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-batch" => {
                 args.max_batch = parse_num(&value("--max-batch")?, "--max-batch")?;
             }
-            "--max-wait-us" => {
-                args.max_wait_us = parse_num(&value("--max-wait-us")?, "--max-wait-us")?;
-            }
             "--queue-cap" => {
                 args.queue_cap = parse_num(&value("--queue-cap")?, "--queue-cap")?;
             }
@@ -151,8 +147,8 @@ fn parse_args() -> Result<Args, String> {
                 return Err("usage: serve [--demo mlp|lenet] [--snapshot PATH] \
                             [--model NAME=PATH]... [--name NAME] [--save PATH] \
                             [--seed N] [--addr HOST:PORT] [--max-batch N] \
-                            [--max-wait-us N] [--queue-cap N] [--workers N] \
-                            [--event-loop] [--max-conns N] [--read-timeout-ms N] \
+                            [--queue-cap N] [--workers N] [--event-loop] \
+                            [--max-conns N] [--read-timeout-ms N] \
                             [--flight-records N] [--log off|error|warn|info|debug|trace] \
                             [--trace-file PATH] [--mmap] [--model-dir PATH] \
                             [--watch-interval-ms N]"
@@ -241,7 +237,6 @@ fn main() -> ExitCode {
 
     let scheduler = SchedulerConfig {
         max_batch: args.max_batch,
-        max_wait: Duration::from_micros(args.max_wait_us),
         queue_capacity: args.queue_cap,
         workers: args.workers,
     };
@@ -269,7 +264,6 @@ fn main() -> ExitCode {
         max_connections: args.max_conns,
         read_timeout: Duration::from_millis(args.read_timeout_ms),
         flight_records: args.flight_records,
-        ..ServerConfig::default()
     };
     if args.event_loop && !pecan_serve::event_loop_supported() {
         pecan_serve::log_warn!("serve::bin", "event loop unsupported here; using threads");

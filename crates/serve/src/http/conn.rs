@@ -32,7 +32,8 @@
 //!    disconnect frees the slot immediately and the late inference result
 //!    goes nowhere.
 
-use crate::http::parser::RequestParser;
+use crate::http::parser::{RequestParser, DEFAULT_MAX_HEAD};
+use crate::http::MAX_BODY;
 use crate::stats::ConnTag;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -144,10 +145,10 @@ pub(crate) struct Conn {
 impl Conn {
     /// Wraps an accepted socket. The caller has already set it
     /// non-blocking.
-    pub fn new(stream: TcpStream, gen: u64, now: Instant, max_head: usize, max_body: usize) -> Self {
+    pub fn new(stream: TcpStream, gen: u64, now: Instant) -> Self {
         Self {
             stream,
-            parser: RequestParser::new(max_head, max_body),
+            parser: RequestParser::new(DEFAULT_MAX_HEAD, MAX_BODY),
             pipeline: Pipeline::default(),
             write_buf: Vec::new(),
             written: 0,

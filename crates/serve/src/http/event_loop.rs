@@ -30,18 +30,22 @@
 //! Batching is untouched: the scheduler sees the same `submit_with` stream
 //! the threaded front end produces, just without a thread per connection.
 //!
-//! Overload and fault handling: accepts beyond
+//! Overload and fault handling: the listener's accept queue holds
 //! [`ServerConfig::max_connections`](super::ServerConfig::max_connections)
-//! are answered `503` and closed; per-connection progress deadlines
-//! (`read_timeout`) close idle connections, answer `408` mid-request, and
-//! cut off stalled readers; a `stop` request drains — the listener is
-//! deregistered, every connection finishes its pipeline, and the loop
-//! exits once the last connection has closed and every counted request
-//! has its response counted, or when the drain deadline passes.
+//! connects (up to the kernel's `somaxconn`), so a burst of them waits
+//! for the loop instead of being dropped; accepts beyond that many open
+//! connections are answered `503` and closed; per-connection progress
+//! deadlines (`read_timeout`) close idle connections, answer `408`
+//! mid-request, and cut off stalled readers; a `stop` request drains —
+//! the listener is deregistered, every connection finishes its pipeline,
+//! and the loop exits once the last connection has closed and every
+//! counted request has its response counted, or when the drain deadline
+//! passes.
 
 use super::conn::Conn;
-use super::parser::DEFAULT_MAX_HEAD;
-use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
+use super::sys::{
+    set_backlog, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP,
+};
 use super::{
     error_response, prediction_parts, route_request, Exchange, HttpShared, Routed, CT_JSON,
     MAX_PIPELINE,
@@ -122,6 +126,10 @@ impl EventLoopHandle {
 /// Binds the loop to an already-bound listener and spawns its thread.
 pub(crate) fn start(listener: TcpListener, http: Arc<HttpShared>) -> io::Result<EventLoopHandle> {
     listener.set_nonblocking(true)?;
+    // std listens with an accept queue of 128. A burst of connects beyond
+    // it is dropped, and each dropped client resends its SYN only a second
+    // later, so queue as many connections as the server holds open.
+    set_backlog(listener.as_raw_fd(), http.max_connections)?;
     let epoll = Epoll::new()?;
     let shared = Arc::new(LoopShared {
         waker: EventFd::new()?,
@@ -247,8 +255,7 @@ impl EventLoop {
                     // with the threaded front end, so flight-recorder
                     // traces are unique across front ends.
                     let gen = self.http.mint_conn_gen();
-                    let mut conn =
-                        Conn::new(stream, gen, now, DEFAULT_MAX_HEAD, self.http.max_body);
+                    let mut conn = Conn::new(stream, gen, now);
                     let interest = EPOLLIN | EPOLLRDHUP;
                     if self
                         .epoll

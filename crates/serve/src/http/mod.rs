@@ -90,8 +90,6 @@ pub struct ServerConfig {
     /// Bind address; use port `0` for an ephemeral port (the bound address
     /// is reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Largest accepted request body in bytes.
-    pub max_body: usize,
     /// Per-connection idle/read timeout. The threaded front end applies it
     /// as a socket read timeout; the event loop closes connections whose
     /// socket made no progress for this long (mid-request: best-effort
@@ -103,7 +101,10 @@ pub struct ServerConfig {
     pub event_loop: bool,
     /// Most connections held open at once; further accepts are answered
     /// `503` and closed (counted in
-    /// [`ConnStatsSnapshot::shed_connections`]).
+    /// [`ConnStatsSnapshot::shed_connections`]). The event loop also
+    /// sizes the listener's accept queue to it (the kernel caps that at
+    /// `net.core.somaxconn`), so a burst of connects waits to be accepted
+    /// instead of being dropped.
     pub max_connections: usize,
     /// Capacity of the flight recorder: how many of the newest completed
     /// requests `/debug/requests` can replay.
@@ -114,7 +115,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            max_body: 1 << 20,
             read_timeout: Duration::from_secs(30),
             event_loop: false,
             max_connections: 1024,
@@ -122,6 +122,10 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Largest accepted request body in bytes; a longer declared
+/// `Content-Length` is refused `413` with `Connection: close`.
+pub(crate) const MAX_BODY: usize = 1 << 20;
 
 /// Most pipelined requests one connection may have unanswered before the
 /// event loop stops reading from it (bounded buffering; the threaded front
@@ -142,9 +146,8 @@ const MAX_BLOCKING: usize = 4;
 
 pub(crate) struct HttpShared {
     pub(crate) registry: Arc<EngineRegistry>,
-    pub(crate) max_body: usize,
     pub(crate) read_timeout: Duration,
-    max_connections: usize,
+    pub(crate) max_connections: usize,
     /// Blocking jobs admitted and not yet dropped (≤ [`MAX_BLOCKING`]).
     blocking: Arc<AtomicUsize>,
     pub(crate) stopping: AtomicBool,
@@ -316,7 +319,6 @@ impl Server {
         let (shutdown_tx, shutdown_rx) = mpsc::channel();
         let shared = Arc::new(HttpShared {
             registry: Arc::new(registry),
-            max_body: config.max_body,
             read_timeout: config.read_timeout,
             max_connections: config.max_connections.max(1),
             blocking: Arc::default(),

@@ -4,7 +4,8 @@
 //! situation on the crates.io side), so readiness notification is wired
 //! straight to the kernel with `asm!`-issued syscalls — exactly the four
 //! primitives the event loop needs (`epoll_create1`, `epoll_ctl`,
-//! `epoll_pwait`, `eventfd2`) plus `read`/`write`/`close` on the eventfd.
+//! `epoll_pwait`, `eventfd2`) plus `read`/`write`/`close` on the eventfd
+//! and `listen` to lengthen the listener's accept queue.
 //! Supported on `x86_64` and `aarch64` Linux; everything else serves
 //! through the portable threaded front end (see
 //! [`event_loop_supported`](crate::event_loop_supported)).
@@ -50,6 +51,7 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 281;
     pub const EVENTFD2: usize = 290;
     pub const EPOLL_CREATE1: usize = 291;
+    pub const LISTEN: usize = 50;
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -64,6 +66,7 @@ mod nr {
     pub const EPOLL_PWAIT: usize = 22;
     pub const EVENTFD2: usize = 19;
     pub const EPOLL_CREATE1: usize = 20;
+    pub const LISTEN: usize = 201;
 }
 
 /// Issues one raw syscall. Negative returns are `-errno`.
@@ -131,6 +134,15 @@ fn close_fd(fd: RawFd) {
     // Errors on close are unrecoverable and the fd is gone either way.
     // SAFETY: integer arguments only.
     let _ = unsafe { syscall(nr::CLOSE, [fd as usize, 0, 0, 0, 0, 0]) };
+}
+
+/// Sets the accept-queue length of the already listening socket `fd`
+/// (calling `listen` again only changes the backlog; the kernel caps it
+/// at `net.core.somaxconn`).
+pub fn set_backlog(fd: RawFd, backlog: usize) -> io::Result<()> {
+    let backlog = backlog.min(i32::MAX as usize);
+    // SAFETY: integer arguments only.
+    check(unsafe { syscall(nr::LISTEN, [fd as usize, backlog, 0, 0, 0, 0]) }).map(drop)
 }
 
 /// One `struct epoll_event`. The kernel packs it on `x86_64` only.
@@ -479,5 +491,34 @@ mod tests {
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
         // Double-remove reports the kernel's ENOENT instead of panicking.
         assert!(epoll.remove(wake.raw_fd()).is_err());
+    }
+
+    #[test]
+    fn set_backlog_queues_connects_past_stds_128() {
+        use std::net::{TcpListener, TcpStream};
+        use std::os::fd::AsRawFd;
+        use std::time::Duration;
+        let want = 200;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        set_backlog(listener.as_raw_fd(), want).unwrap();
+        // The kernel caps the backlog at `net.core.somaxconn`; a host that
+        // caps it below `want` cannot show a queue this long.
+        let somaxconn = std::fs::read_to_string("/proc/sys/net/core/somaxconn")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .unwrap_or(0);
+        if somaxconn < want {
+            return;
+        }
+        // Nothing accepts, so every connect waits in the accept queue; one
+        // past its end would have its SYN dropped and retry a second later.
+        let addr = listener.local_addr().unwrap();
+        let clients: Vec<TcpStream> = (0..want)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} of {want}: {e}"))
+            })
+            .collect();
+        assert_eq!(clients.len(), want);
     }
 }

@@ -13,7 +13,7 @@
 //! `/stats` and `/metrics` mean the same thing on both front ends.
 
 use super::parser::{RequestParser, DEFAULT_MAX_HEAD};
-use super::{prediction_parts, route_request, HttpShared, Routed, CT_JSON};
+use super::{prediction_parts, route_request, HttpShared, Routed, CT_JSON, MAX_BODY};
 use crate::stats::ConnTag;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -65,7 +65,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<HttpShared>) {
     let _ = stream.set_nodelay(true);
     let conn_gen = shared.mint_conn_gen();
     let mut tag = ConnTag::Reading;
-    let mut parser = RequestParser::new(DEFAULT_MAX_HEAD, shared.max_body);
+    let mut parser = RequestParser::new(DEFAULT_MAX_HEAD, MAX_BODY);
     loop {
         let request = match read_one_request(&mut stream, &mut parser) {
             Ok(Some(r)) => r,

@@ -28,8 +28,8 @@
 //!    verifies every checksum; the `snapshot-tool` binary inspects and
 //!    verifies files.
 //! 4. **[`BatchScheduler`]** — micro-batching over a bounded queue:
-//!    concurrent requests are drained up to `max_batch`/`max_wait` and run
-//!    through the engine's batch kernels by persistent workers;
+//!    persistent workers take what is queued, up to `max_batch` requests,
+//!    and run it at once through the engine's batch kernels;
 //!    a full queue rejects with [`ServeError::Overloaded`] (backpressure),
 //!    and shutdown drains every accepted request.
 //! 5. **[`EngineRegistry`] + [`Server`]** — multi-model serving with a

@@ -4,10 +4,11 @@
 //! Requests enter a **bounded** submission queue; a full queue rejects
 //! immediately with [`ServeError::Overloaded`] (backpressure — callers see
 //! it as HTTP 503 and retry, rather than latency collapsing for everyone).
-//! Persistent worker threads drain the queue in batches: a worker takes
-//! whatever is waiting, and when that is fewer than `max_batch` it lingers
-//! up to `max_wait` for stragglers before running the batch. Because
-//! batched inference is bit-identical to sequential inference (see
+//! Persistent worker threads drain the queue in batches: a worker that
+//! finds requests waiting takes up to `max_batch` of them and runs them at
+//! once, without waiting for more, so a batch is whatever arrived while
+//! the previous one ran. Because batched inference is bit-identical to
+//! sequential inference (see
 //! [`FrozenEngine::predict_batch`](crate::FrozenEngine::predict_batch)),
 //! batching is purely a throughput decision — responses never depend on
 //! which requests happened to share a batch.
@@ -100,11 +101,9 @@ impl BatchRunner for FrozenEngine {
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// Most requests one batch may contain (≥ 1). `1` disables batching.
+    /// A worker never waits for a batch to fill: it runs with what is
+    /// queued when it looks, up to this many.
     pub max_batch: usize,
-    /// How long a worker lingers for stragglers once it holds at least one
-    /// request but fewer than `max_batch`. Zero means "run with whatever is
-    /// queued right now".
-    pub max_wait: Duration,
     /// Bounded queue depth; submissions beyond it are rejected.
     pub queue_capacity: usize,
     /// Persistent worker threads (≥ 1).
@@ -115,7 +114,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
             max_batch: 16,
-            max_wait: Duration::from_micros(200),
             queue_capacity: 256,
             workers: 1,
         }
@@ -402,39 +400,14 @@ fn worker_loop(shared: &Shared) {
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        if state.queue.is_empty() {
+        let Some(front) = state.queue.front() else {
             // shutdown && empty — the queue is drained, retire.
             return;
-        }
-        // Micro-batching: linger briefly for stragglers, but never once
-        // shutdown is signalled and never when batching is disabled.
-        // The formation span covers the linger wait, so queue-gathering
-        // time shows up in traces as wall ≫ cpu.
-        let form_span = pecan_obs::span("scheduler.form");
-        if config.max_batch > 1 && !config.max_wait.is_zero() {
-            let deadline = Instant::now() + config.max_wait;
-            while state.queue.len() < config.max_batch && !state.shutdown {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (next, timeout) = shared
-                    .cvar
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                state = next;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-        }
-        // With several workers, a sibling may have drained the queue while
-        // this worker lingered with the lock released — nothing to run.
-        let Some(front) = state.queue.front() else {
-            continue;
         };
-        // A batch never mixes engines: it is the leading requests that
-        // share the front request's runner, which then answers them.
+        // The batch is what is queued now, taken under the lock held since
+        // the wait. It never mixes engines: it is the leading requests
+        // that share the front request's runner, which then answers them.
+        let form_span = pecan_obs::span("scheduler.form");
         let runner = Arc::clone(&front.runner);
         let take = state
             .queue
@@ -447,7 +420,7 @@ fn worker_loop(shared: &Shared) {
         drop(state);
         drop(form_span);
         if more_waiting {
-            // Another worker can start gathering while this one computes.
+            // Another worker can take the rest while this one computes.
             shared.cvar.notify_one();
         }
 
@@ -517,7 +490,7 @@ mod tests {
         let engine = Arc::new(crate::demo::mlp_engine(2));
         let s = BatchScheduler::start(
             engine,
-            SchedulerConfig { max_batch: 0, workers: 0, queue_capacity: 0, ..Default::default() },
+            SchedulerConfig { max_batch: 0, workers: 0, queue_capacity: 0 },
         );
         assert_eq!(s.config().max_batch, 1);
         assert_eq!(s.config().workers, 1);

@@ -20,7 +20,6 @@
 use pecan_serve::obs::NO_MODEL;
 use pecan_serve::{demo, BatchScheduler, FlightRecorder, SchedulerConfig, TraceRecord};
 use std::sync::Arc;
-use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: pecan_obs::PecanAlloc = pecan_obs::PecanAlloc;
@@ -66,7 +65,6 @@ fn scheduler_submit_path_allocation_count_is_constant() {
         engine,
         SchedulerConfig {
             max_batch: 4,
-            max_wait: Duration::from_micros(50),
             queue_capacity: 64,
             workers: 1,
         },

@@ -389,7 +389,6 @@ fn threaded_front_end_maintains_connection_gauges() {
             runner,
             SchedulerConfig {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 queue_capacity: 8,
                 workers: 1,
             },

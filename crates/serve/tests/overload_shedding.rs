@@ -52,12 +52,7 @@ fn start_gated(event_loop: bool, queue_capacity: usize) -> Gated {
     let (entered_tx, entered) = mpsc::channel();
     let (release, release_rx) = mpsc::channel();
     let runner = Arc::new(GatedRunner { entered: entered_tx, release: Mutex::new(release_rx) });
-    let scheduler = SchedulerConfig {
-        max_batch: 1,
-        max_wait: Duration::ZERO,
-        queue_capacity,
-        workers: 1,
-    };
+    let scheduler = SchedulerConfig { max_batch: 1, queue_capacity, workers: 1 };
     let registry = EngineRegistry::new();
     registry.register_runner_as("gated", runner, scheduler).expect("register double");
     let config = ServerConfig {

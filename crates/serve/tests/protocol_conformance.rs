@@ -138,25 +138,32 @@ fn some_input(len: usize) -> Vec<f32> {
 
 /// The conformance battery: every interesting request shape, sent
 /// verbatim to both front ends; their raw answers must match byte for
-/// byte (latency masked).
+/// byte (latency masked) and carry the expected status.
 #[test]
 fn front_ends_answer_byte_identically() {
     let servers = front_ends();
     let input_len = 64;
-    let cases: Vec<Vec<u8>> = vec![
-        b"GET /healthz HTTP/1.1\r\n\r\n".to_vec(),
-        b"GET /models/mlp/healthz HTTP/1.1\r\n\r\n".to_vec(),
-        b"GET /nope HTTP/1.1\r\n\r\n".to_vec(),
-        b"DELETE /predict HTTP/1.1\r\n\r\n".to_vec(),
-        b"GET /models/ghost/healthz HTTP/1.1\r\n\r\n".to_vec(),
-        predict_request(&some_input(input_len), ""),
-        predict_request(&some_input(3), ""), // wrong length → 400
-        b"POST /predict HTTP/1.1\r\nContent-Length: 7\r\n\r\nnot-js!".to_vec(),
-        b"POST /predict HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n".to_vec(),
-        b"BOGUS\r\n\r\n".to_vec(),
-        b"GET /healthz HTTP/1.0\r\n\r\n".to_vec(),
+    let body_head = |len: usize| {
+        format!("POST /predict HTTP/1.1\r\nContent-Length: {len}\r\n\r\n").into_bytes()
+    };
+    let cases: Vec<(Vec<u8>, u16)> = vec![
+        (b"GET /healthz HTTP/1.1\r\n\r\n".to_vec(), 200),
+        (b"GET /models/mlp/healthz HTTP/1.1\r\n\r\n".to_vec(), 200),
+        (b"GET /nope HTTP/1.1\r\n\r\n".to_vec(), 404),
+        (b"DELETE /predict HTTP/1.1\r\n\r\n".to_vec(), 405),
+        (b"GET /models/ghost/healthz HTTP/1.1\r\n\r\n".to_vec(), 404),
+        (predict_request(&some_input(input_len), ""), 200),
+        (predict_request(&some_input(3), ""), 400), // wrong length
+        (b"POST /predict HTTP/1.1\r\nContent-Length: 7\r\n\r\nnot-js!".to_vec(), 400),
+        // A declared body one byte over the 1 MiB cap is refused from its
+        // head alone; one at the cap passes the head check, and its missing
+        // body ends in the `400` for EOF mid-request.
+        (body_head((1 << 20) + 1), 413),
+        (body_head(1 << 20), 400),
+        (b"BOGUS\r\n\r\n".to_vec(), 400),
+        (b"GET /healthz HTTP/1.0\r\n\r\n".to_vec(), 200),
     ];
-    for (i, case) in cases.iter().enumerate() {
+    for (i, (case, status)) in cases.iter().enumerate() {
         let answers: Vec<String> = servers
             .iter()
             .map(|srv| mask_latency(&raw_exchange(srv, case)))
@@ -170,9 +177,17 @@ fn front_ends_answer_byte_identically() {
             );
         }
         assert!(
-            answers[0].starts_with("HTTP/1.1 "),
-            "case {i} did not produce an HTTP response"
+            answers[0].starts_with(&format!("HTTP/1.1 {status} ")),
+            "case {i} answered {:?}, expected {status}",
+            answers[0].lines().next()
         );
+        if *status == 413 {
+            assert!(
+                answers[0].contains("\r\nConnection: close\r\n"),
+                "case {i}: {}",
+                answers[0]
+            );
+        }
     }
     // The same traffic leaves the same counters on both front ends, and
     // every answered request — refusals included — counts once in

@@ -13,7 +13,6 @@ use pecan::serve::{
 };
 use std::error::Error;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // 1. Trained models become immutable, Arc-shared inference plans:
@@ -58,7 +57,6 @@ fn main() -> Result<(), Box<dyn Error>> {
     let registry = EngineRegistry::new();
     let scheduler = SchedulerConfig {
         max_batch: 16,
-        max_wait: Duration::from_micros(200),
         queue_capacity: 256,
         workers: 1,
     };
