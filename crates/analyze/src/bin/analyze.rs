@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! analyze --workspace              # lint the whole workspace, exit 1 on findings
-//! analyze --workspace --config F  # same, with a custom policy file
-//! analyze --print-config           # dump the built-in policy in --config format
+//! analyze --workspace --root DIR   # same, for the workspace at DIR
 //! ```
 
 use std::path::PathBuf;
@@ -23,26 +22,19 @@ fn main() -> ExitCode {
 
 fn run() -> Result<ExitCode, String> {
     let mut workspace = false;
-    let mut print_config = false;
-    let mut config_path: Option<PathBuf> = None;
     let mut root_override: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--print-config" => print_config = true,
-            "--config" => {
-                let v = args.next().ok_or("--config needs a path")?;
-                config_path = Some(PathBuf::from(v));
-            }
             "--root" => {
                 let v = args.next().ok_or("--root needs a path")?;
                 root_override = Some(PathBuf::from(v));
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: analyze --workspace [--config FILE] [--root DIR] | --print-config\n\
+                    "usage: analyze --workspace [--root DIR]\n\
                      \n\
                      Lints every .rs file under the workspace root with the pecan audit\n\
                      policy. Exits 0 on a clean pass, 1 on findings, 2 on usage/IO errors.\n\
@@ -54,21 +46,8 @@ fn run() -> Result<ExitCode, String> {
         }
     }
 
-    let config = match &config_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            Config::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?
-        }
-        None => Config::workspace_default(),
-    };
-
-    if print_config {
-        print!("{}", config.render());
-        return Ok(ExitCode::SUCCESS);
-    }
     if !workspace {
-        return Err("nothing to do: pass --workspace (or --print-config)".to_string());
+        return Err("nothing to do: pass --workspace".to_string());
     }
 
     let cwd = std::env::current_dir().map_err(|e| format!("cwd: {e}"))?;
@@ -78,7 +57,7 @@ fn run() -> Result<ExitCode, String> {
             .ok_or("no workspace root (Cargo.toml with [workspace]) above the current dir")?,
     };
 
-    let findings = analyze_workspace(&root, &config)?;
+    let findings = analyze_workspace(&root, &Config::workspace_default())?;
     if findings.is_empty() {
         println!("analyze: clean — 0 findings");
         return Ok(ExitCode::SUCCESS);

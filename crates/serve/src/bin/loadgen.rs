@@ -18,6 +18,11 @@
 //! thousand client threads. `--p99-budget-us N` turns the p99 latency
 //! into an exit-code gate for CI.
 //!
+//! Every worker opens all its connections before any request is sent,
+//! and `throughput_rps` is timed from the moment the last one is open, so
+//! it measures serving alone; the connect phase prints on its own line
+//! (`connect_ms`).
+//!
 //! Every response is checked: HTTP 200, parseable `output` array of the
 //! length `/healthz` advertises. Latencies accumulate in one shared
 //! [`pecan_obs::Histogram`] — the same wait-free log-bucketed histogram
@@ -40,7 +45,7 @@ use pecan_serve::json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 struct Args {
@@ -164,7 +169,9 @@ fn run() -> Result<ExitCode, String> {
     // Fire. Default: one thread per connection. With --threads, each
     // thread owns a contiguous slice of the connections (all opened up
     // front, all kept alive) and round-robins its requests across them —
-    // high connection counts without high thread counts.
+    // high connection counts without high thread counts. Every worker
+    // opens its connections, then meets the others (and this thread) at
+    // the barrier, so requests start once every connection is open.
     let per_conn = args.requests.div_ceil(args.connections).max(1);
     let threads = if args.threads == 0 {
         args.connections
@@ -176,6 +183,7 @@ fn run() -> Result<ExitCode, String> {
     // All threads record straight into one histogram — `record` is
     // wait-free, so no per-thread vectors or merge step are needed.
     let hist = Arc::new(Histogram::new());
+    let barrier = Arc::new(Barrier::new(threads + 1));
     let started = Instant::now();
     let mut handles = Vec::new();
     let mut assigned = 0usize;
@@ -186,12 +194,15 @@ fn run() -> Result<ExitCode, String> {
         let addr = Arc::clone(&addr);
         let route = Arc::clone(&route);
         let hist = Arc::clone(&hist);
+        let barrier = Arc::clone(&barrier);
         let seed = args.seed.wrapping_add(1 + t as u64);
         handles.push(std::thread::spawn(move || -> Result<Option<u64>, String> {
-            let mut clients = Vec::with_capacity(conns_here);
-            for _ in 0..conns_here {
-                clients.push(connect(&addr)?);
-            }
+            let clients: Result<Vec<HttpClient>, String> =
+                (0..conns_here).map(|_| connect(&addr)).collect();
+            // Reached whether or not every connect succeeded, so a failed
+            // worker never leaves the others waiting.
+            barrier.wait();
+            let mut clients = clients?;
             let mut rng = StdRng::seed_from_u64(seed);
             // Time-to-first-response: run start → this thread's first 200
             // (connect included). The run-wide minimum lands in the report
@@ -225,6 +236,9 @@ fn run() -> Result<ExitCode, String> {
         }));
     }
     debug_assert_eq!(assigned, args.connections);
+    barrier.wait();
+    let serving = Instant::now();
+    let connect_time = serving - started;
     let mut ttfr_ns: Option<u64> = None;
     let mut errors = Vec::new();
     for h in handles {
@@ -238,7 +252,7 @@ fn run() -> Result<ExitCode, String> {
             Err(e) => errors.push(e),
         }
     }
-    let wall = started.elapsed();
+    let wall = serving.elapsed();
 
     // Scrape the server's own view of the run from /metrics (before any
     // shutdown): the p99 quantile gauge the histogram subsystem exports.
@@ -267,6 +281,7 @@ fn run() -> Result<ExitCode, String> {
         args.connections,
         wall.as_secs_f64()
     );
+    println!("connect_ms: {:.1}", connect_time.as_secs_f64() * 1e3);
     println!("throughput_rps: {throughput:.1}");
     if let Some(ns) = ttfr_ns {
         println!("ttfr_us: {}", ns / 1_000);

@@ -35,15 +35,14 @@
 //! `--max-conns N` (connection cap, `503` beyond it),
 //! `--read-timeout-ms N` (per-connection idle/read deadline).
 //!
-//! Observability knobs: `--flight-records N` (capacity of the
-//! `/debug/requests` flight recorder), `--log LEVEL`
-//! (off|error|warn|info|debug|trace; overrides the `PECAN_LOG`
-//! environment variable for structured stderr logging), and
-//! `--trace-file PATH` (enable span tracing for the whole process
-//! lifetime and dump everything still held in the trace rings as Chrome
-//! trace-event JSON on exit — after the drain for a serving run, after
-//! the write for a `--save` run, so engine *builds* can be profiled too;
-//! see `docs/observability.md`).
+//! Observability knobs: `--log LEVEL` (off|error|warn|info|debug|trace;
+//! overrides the `PECAN_LOG` environment variable for structured stderr
+//! logging) and `--trace-file PATH` (enable span tracing for the whole
+//! process lifetime and dump everything still held in the trace rings as
+//! Chrome trace-event JSON on exit — after the drain for a serving run,
+//! after the write for a `--save` run, so engine *builds* can be profiled
+//! too; see `docs/observability.md`). The `/debug/requests` flight
+//! recorder always keeps the newest 256 requests.
 
 use pecan_serve::{
     demo, EngineRegistry, FrozenEngine, LoadMode, ModelWatcher, SchedulerConfig, Server,
@@ -67,7 +66,6 @@ struct Args {
     event_loop: bool,
     max_conns: usize,
     read_timeout_ms: u64,
-    flight_records: usize,
     log: Option<String>,
     trace_file: Option<String>,
     mmap: bool,
@@ -90,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
         event_loop: false,
         max_conns: 1024,
         read_timeout_ms: 30_000,
-        flight_records: 256,
         log: None,
         trace_file: None,
         mmap: false,
@@ -131,10 +128,6 @@ fn parse_args() -> Result<Args, String> {
                 args.read_timeout_ms =
                     parse_num(&value("--read-timeout-ms")?, "--read-timeout-ms")?;
             }
-            "--flight-records" => {
-                args.flight_records =
-                    parse_num(&value("--flight-records")?, "--flight-records")?;
-            }
             "--log" => args.log = Some(value("--log")?),
             "--trace-file" => args.trace_file = Some(value("--trace-file")?),
             "--mmap" => args.mmap = true,
@@ -149,7 +142,7 @@ fn parse_args() -> Result<Args, String> {
                             [--seed N] [--addr HOST:PORT] [--max-batch N] \
                             [--queue-cap N] [--workers N] [--event-loop] \
                             [--max-conns N] [--read-timeout-ms N] \
-                            [--flight-records N] [--log off|error|warn|info|debug|trace] \
+                            [--log off|error|warn|info|debug|trace] \
                             [--trace-file PATH] [--mmap] [--model-dir PATH] \
                             [--watch-interval-ms N]"
                     .into())
@@ -263,7 +256,6 @@ fn main() -> ExitCode {
         event_loop: args.event_loop,
         max_connections: args.max_conns,
         read_timeout: Duration::from_millis(args.read_timeout_ms),
-        flight_records: args.flight_records,
     };
     if args.event_loop && !pecan_serve::event_loop_supported() {
         pecan_serve::log_warn!("serve::bin", "event loop unsupported here; using threads");

@@ -6,26 +6,31 @@
 //!
 //! 1. `epoll_wait` (timeout = the earliest idle deadline) for socket
 //!    readiness, new connections, or a waker poke;
-//! 2. drain readable sockets into their incremental parsers, route every
-//!    complete request (shared [`route_request`]), and hand inference to
-//!    the model's [`BatchScheduler`](crate::BatchScheduler) via
+//! 2. advance each ready connection: a `Reading` one reads one chunk if
+//!    its parser needs bytes, then routes the next complete request
+//!    (shared [`route_request`]) and hands inference to the model's
+//!    [`BatchScheduler`](crate::BatchScheduler) via
 //!    [`submit_with`](crate::ModelEntry::submit_with) — the completion
 //!    callback pushes onto [`LoopShared::completions`] and pokes the
 //!    waker, so inference threads never touch a socket. Blocking routes
 //!    (`/reload`, `/debug/trace`) run on a helper thread that answers
-//!    through the same queue;
-//! 3. drain the completion queue, encode responses into their reserved
-//!    pipeline slots, and flush each connection's ready prefix as far as
-//!    the socket allows.
+//!    through the same queue. A `Writing` one flushes its response;
+//! 3. drain the completion queue, hand each response to its connection,
+//!    and write it as far as the socket allows.
+//!
+//! Each connection has one request in flight, as on the threaded front
+//! end: once a response has left the socket the loop parses the next
+//! buffered request at once, without waiting for another socket event,
+//! so pipelined requests are answered in order, one at a time.
 //!
 //! Admission, request counting and IDs, flight-recorder records, refusals
 //! and response encoding go through the protocol core on [`HttpShared`]
 //! (`admit`, `begin`, `answer`, `refuse`), exactly as on the threaded
 //! front end; each completion carries its request's [`Exchange`]. What is
 //! this front end's own is how it reads, waits and writes, and that it
-//! counts a response when the bytes join the connection's pipeline — or,
-//! for a completion whose connection has gone, when it arrives: the
-//! request was answered, only the delivery is moot.
+//! counts a response when the bytes enter the connection's write buffer
+//! — or, for a completion whose connection has gone, when it arrives:
+//! the request was answered, only the delivery is moot.
 //!
 //! Batching is untouched: the scheduler sees the same `submit_with` stream
 //! the threaded front end produces, just without a thread per connection.
@@ -37,18 +42,18 @@
 //! connections are answered `503` and closed; per-connection progress
 //! deadlines (`read_timeout`) close idle connections, answer `408`
 //! mid-request, and cut off stalled readers; a `stop` request drains —
-//! the listener is deregistered, every connection finishes its pipeline,
-//! and the loop exits once the last connection has closed and every
-//! counted request has its response counted, or when the drain deadline
-//! passes.
+//! the listener is deregistered, every connection finishes the request
+//! it has in flight, and the loop exits once the last connection has
+//! closed and every counted request has its response counted, or when
+//! the drain deadline passes.
 
 use super::conn::Conn;
+use super::parser::Request;
 use super::sys::{
     set_backlog, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP,
 };
 use super::{
     error_response, prediction_parts, route_request, Exchange, HttpShared, Routed, CT_JSON,
-    MAX_PIPELINE,
 };
 use crate::error::ServeError;
 use crate::lock;
@@ -68,12 +73,10 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 
 /// One finished piece of off-loop work on its way back to a connection.
-/// The exchange's `conn_gen` and the pipeline sequence make stale
-/// completions (connection closed, slot reused) inert — see the
-/// invariants on [`super::conn`].
+/// The exchange's `conn_gen` makes stale completions (connection closed,
+/// slot reused) inert — see the invariants on [`super::conn`].
 struct Completion {
     conn: usize,
-    seq: u64,
     /// The request this answers.
     ex: Exchange,
     payload: Payload,
@@ -217,7 +220,7 @@ impl EventLoop {
     fn next_timeout_ms(&self, now: Instant) -> i32 {
         let mut earliest: Option<Instant> = if self.draining { self.drain_deadline } else { None };
         for conn in self.conns.iter().flatten() {
-            if conn.pipeline.pending() > 0 {
+            if conn.state() == ConnTag::Handling {
                 // Waiting on inference, not the client; no client deadline.
                 continue;
             }
@@ -256,7 +259,7 @@ impl EventLoop {
                     // traces are unique across front ends.
                     let gen = self.http.mint_conn_gen();
                     let mut conn = Conn::new(stream, gen, now);
-                    let interest = EPOLLIN | EPOLLRDHUP;
+                    let interest = conn.desired_interest();
                     if self
                         .epoll
                         .add(conn.stream.as_raw_fd(), interest, idx as u64)
@@ -277,131 +280,82 @@ impl EventLoop {
     }
 
     fn conn_event(&mut self, idx: usize, bits: u32, now: Instant, scratch: &mut [u8]) {
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
+        // An error, or a hang-up in both directions: nothing more can be
+        // read or written.
+        if bits & (EPOLLERR | EPOLLHUP) != 0 {
+            self.close(idx);
+            return;
+        }
+        if conn.state() == ConnTag::Reading
+            && bits & (EPOLLIN | EPOLLRDHUP) != 0
+            && conn.read_some(scratch, now).is_err()
         {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-            if bits & EPOLLERR != 0 {
-                self.close(idx);
-                return;
-            }
-            if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0
-                && conn.read_some(scratch, now).is_err()
-            {
-                self.close(idx);
-                return;
-            }
+            self.close(idx);
+            return;
         }
-        self.process_requests(idx);
-        self.finish_io(idx, now);
+        self.advance(idx, now);
     }
 
-    /// Parses and routes every complete request buffered on `idx`, up to
-    /// the pipeline cap (bounded buffering, invariant 3 of
-    /// [`super::conn`]).
-    fn process_requests(&mut self, idx: usize) {
-        loop {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-            if conn.close_after_flush
-                || self.draining
-                || conn.pipeline.len() >= MAX_PIPELINE
-            {
-                return;
-            }
-            let req = match conn.parser.next_request() {
-                Ok(Some(req)) => req,
-                Ok(None) if !conn.read_closed => return, // wait for more bytes
-                Ok(None) if !conn.parser.mid_request() => {
-                    // Half-closed peer: flush what is owed, then close.
-                    conn.close_after_flush = true;
-                    return;
-                }
-                // A request the parser refused, or EOF mid-request (`400`):
-                // refuse it, then close.
-                refused => {
-                    let status = refused.err().map_or(400, |e| e.status());
-                    conn.pipeline.push_ready(self.http.refuse(conn.gen, status));
-                    self.http.conn_stats.record_response();
-                    conn.close_after_flush = true;
-                    return;
-                }
-            };
-            let ex = self.http.begin(conn.gen, req.keep_alive);
-            // On this front end the request span covers routing and
-            // submission only — the inference wait happens off-loop and is
-            // visible as the matching `scheduler.batch` span (joined by id
-            // against `/debug/requests`).
-            let _req_span = pecan_obs::span_with_id("serve.request", ex.id);
-            match route_request(&self.http, &req) {
-                Routed::Done { status, body, content_type, shutdown } => {
-                    let bytes = self.http.answer(&ex, None, (status, content_type, &body), None);
-                    conn.pipeline.push_ready(bytes);
-                    self.http.conn_stats.record_response();
-                    if shutdown {
-                        conn.shutdown_after_flush = true;
-                    }
-                }
-                Routed::Predict { idx: entry, input } => {
-                    let seq = conn.pipeline.push_pending();
-                    let shared = Arc::clone(&self.shared);
-                    let submit = self.http.registry.entry(entry).submit_with(
-                        input,
-                        Box::new(move |result| {
-                            shared.complete(Completion {
-                                conn: idx,
-                                seq,
-                                ex,
-                                payload: Payload::Inference { model: entry, result },
-                            });
-                        }),
-                    );
-                    match submit {
-                        Ok(()) => self.http.conn_stats.inflight_add(),
-                        Err(e) => {
-                            // Rejected synchronously (bad input, hard queue
-                            // bound, shutting down).
-                            let (status, body) = error_response(&e);
-                            let bytes =
-                                self.http.answer(&ex, Some(entry), (status, CT_JSON, &body), None);
-                            conn.pipeline.complete(seq, bytes);
-                            self.http.conn_stats.record_response();
+    /// Moves `idx` through its states for as long as it waits neither on
+    /// the socket nor on an inference: writes a `Writing` connection's
+    /// response, then answers its next buffered request. It stops in the
+    /// state that waits and registers that state's interest, or closes
+    /// the connection.
+    fn advance(&mut self, idx: usize, now: Instant) {
+        let Self { conns, http, shared, epoll, .. } = self;
+        let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else { return };
+        let close = loop {
+            match conn.state() {
+                ConnTag::Handling => break false,
+                ConnTag::Writing => match conn.try_write(now) {
+                    Err(_) => break true,
+                    Ok(false) => break false, // socket full: wait for EPOLLOUT
+                    Ok(true) => {
+                        if conn.shutdown_after_flush {
+                            conn.shutdown_after_flush = false;
+                            // The /shutdown acknowledgement has fully left
+                            // this socket; now the server may begin draining.
+                            let _ = http.shutdown_tx.send(());
                         }
+                        if conn.close_after_flush {
+                            break true;
+                        }
+                        conn.set_state(ConnTag::Reading, &http.conn_stats);
                     }
-                }
-                Routed::Blocking(job) => {
-                    // The loop thread may never block, so a helper thread
-                    // runs the job and delivers its answer through the
-                    // completion queue like any inference answer.
-                    let seq = conn.pipeline.push_pending();
-                    let shared = Arc::clone(&self.shared);
-                    let spawned = std::thread::Builder::new()
-                        .name("pecan-serve-blocking".into())
-                        .spawn(move || {
-                            let (status, body) = job();
-                            shared.complete(Completion {
-                                conn: idx,
-                                seq,
-                                ex,
-                                payload: Payload::Done(status, body),
-                            });
-                        });
-                    if spawned.is_err() {
-                        let body = "{\"error\":\"cannot spawn helper thread\"}";
-                        let bytes = self.http.answer(&ex, None, (500, CT_JSON, body), None);
-                        conn.pipeline.complete(seq, bytes);
-                        self.http.conn_stats.record_response();
+                },
+                // `Connection: close`, a refusal or the drain: parse no
+                // further (invariant 4).
+                ConnTag::Reading if conn.close_after_flush => break true,
+                ConnTag::Reading => match conn.parser.next_request() {
+                    Ok(Some(req)) => dispatch(http, shared, conn, idx, &req),
+                    Ok(None) if !conn.read_closed => break false, // wait for bytes
+                    // Half-closed peer between requests: nothing is owed.
+                    Ok(None) if !conn.parser.mid_request() => break true,
+                    // A request the parser refused, or EOF mid-request
+                    // (`400`): refuse it, then close.
+                    refused => {
+                        let status = refused.err().map_or(400, |e| e.status());
+                        conn.respond(http.refuse(conn.gen, status), &http.conn_stats);
+                        conn.close_after_flush = true;
                     }
-                }
+                },
             }
-            if !ex.keep_alive {
-                // `Connection: close`: the client promised nothing
-                // further; stop parsing (invariant 4).
-                conn.close_after_flush = true;
-                return;
-            }
+        };
+        if close {
+            self.close(idx);
+            return;
+        }
+        let want = conn.desired_interest();
+        if want != conn.registered
+            && epoll.modify(conn.stream.as_raw_fd(), want, idx as u64).is_ok()
+        {
+            conn.registered = want;
         }
     }
 
-    /// Encodes every completed inference (or blocking job) into its
-    /// reserved pipeline slot.
+    /// Hands every completed inference (or blocking job) to its
+    /// connection and writes it.
     fn drain_completions(&mut self, now: Instant) {
         let completions = std::mem::take(&mut *lock(&self.shared.completions));
         for c in completions {
@@ -416,60 +370,22 @@ impl EventLoop {
                     self.http.answer(&c.ex, None, (status, CT_JSON, &body), None)
                 }
             };
-            // Recorded and counted even when the connection is gone: the
-            // request was answered; only the delivery is moot.
-            self.http.conn_stats.record_response();
-            let delivered = self
+            let conn = self
                 .conns
                 .get_mut(c.conn)
                 .and_then(Option::as_mut)
                 // A reused slot has a new generation; the completion is inert.
-                .filter(|conn| conn.gen == c.ex.conn_gen)
-                .is_some_and(|conn| conn.pipeline.complete(c.seq, bytes));
-            if delivered {
-                self.process_requests(c.conn); // pipeline cap may have cleared
-                self.finish_io(c.conn, now);
-            }
-        }
-    }
-
-    /// Flushes, retags, re-registers interest, and closes `idx` if it is
-    /// finished.
-    fn finish_io(&mut self, idx: usize, now: Instant) {
-        let close;
-        {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else { return };
-            conn.flush_ready();
-            if conn.try_write(now).is_err() {
-                close = true;
-            } else {
-                if conn.shutdown_after_flush && conn.drained() {
-                    conn.shutdown_after_flush = false;
-                    // The /shutdown acknowledgement has fully left this
-                    // socket; now the server may begin draining.
-                    let _ = self.http.shutdown_tx.send(());
+                .filter(|conn| conn.gen == c.ex.conn_gen);
+            match conn {
+                Some(conn) => {
+                    conn.respond(bytes, &self.http.conn_stats);
+                    self.advance(c.conn, now);
                 }
-                close = conn.drained() && (conn.close_after_flush || conn.read_closed);
-                if !close {
-                    let tag = conn.current_tag();
-                    if tag != conn.tag {
-                        self.http.conn_stats.record_retag(conn.tag, tag);
-                        conn.tag = tag;
-                    }
-                    let want = conn.desired_interest(MAX_PIPELINE, self.draining);
-                    if want != conn.registered
-                        && self
-                            .epoll
-                            .modify(conn.stream.as_raw_fd(), want, idx as u64)
-                            .is_ok()
-                    {
-                        conn.registered = want;
-                    }
-                }
+                // Recorded and counted even though the connection is
+                // gone: the request was answered; only the delivery is
+                // moot.
+                None => self.http.conn_stats.record_response(),
             }
-        }
-        if close {
-            self.close(idx);
         }
     }
 
@@ -479,7 +395,7 @@ impl EventLoop {
     fn close(&mut self, idx: usize) {
         if let Some(conn) = self.conns[idx].take() {
             let _ = self.epoll.remove(conn.stream.as_raw_fd());
-            self.http.conn_stats.record_closed(conn.tag);
+            self.http.conn_stats.record_closed(conn.state());
             self.free.push(idx);
         }
     }
@@ -492,17 +408,17 @@ impl EventLoop {
         for idx in 0..self.conns.len() {
             let expired = {
                 let Some(conn) = self.conns[idx].as_mut() else { continue };
-                if conn.pipeline.pending() > 0
+                if conn.state() == ConnTag::Handling
                     || now < conn.last_activity + self.http.read_timeout
                 {
                     continue;
                 }
-                if conn.parser.mid_request() && conn.write_backlog() == 0 {
+                if conn.state() == ConnTag::Reading && conn.parser.mid_request() {
                     // Mid-request: the 408 the threaded front end answers,
                     // best-effort (the socket may be unwritable).
                     let _ = conn.stream.write(&self.http.refuse(conn.gen, 408));
                     self.http.conn_stats.record_response();
-                } else if conn.write_backlog() > 0 {
+                } else if conn.state() == ConnTag::Writing {
                     // Stalled reader: it cannot wedge the loop; cut it off.
                     self.http.conn_stats.record_timeout();
                     crate::log_debug!(
@@ -520,8 +436,9 @@ impl EventLoop {
         }
     }
 
-    /// Enters drain mode: stop accepting, finish every pipeline, close
-    /// each connection as it empties.
+    /// Enters drain mode: stop accepting, answer the request each
+    /// connection has in flight, close each connection once its response
+    /// is flushed.
     fn begin_drain(&mut self, now: Instant) {
         self.draining = true;
         self.drain_deadline = Some(now + self.http.read_timeout);
@@ -530,10 +447,83 @@ impl EventLoop {
         for idx in 0..self.conns.len() {
             if let Some(conn) = self.conns[idx].as_mut() {
                 conn.close_after_flush = true;
-            } else {
-                continue;
+                self.advance(idx, now);
             }
-            self.finish_io(idx, now);
+        }
+    }
+}
+
+/// Counts and routes one parsed request on `conn` (slot `idx`, which must
+/// be `Reading`): an answer known at once goes to the write buffer
+/// (`Writing`); inference and blocking jobs go off-loop (`Handling`) and
+/// come back as a [`Completion`].
+fn dispatch(
+    http: &HttpShared,
+    shared: &Arc<LoopShared>,
+    conn: &mut Conn,
+    idx: usize,
+    req: &Request,
+) {
+    let ex = http.begin(conn.gen, req.keep_alive);
+    if !ex.keep_alive {
+        // `Connection: close`: the client promised nothing further.
+        conn.close_after_flush = true;
+    }
+    // On this front end the request span covers routing and submission
+    // only — the inference wait happens off-loop and is visible as the
+    // matching `scheduler.batch` span (joined by id against
+    // `/debug/requests`).
+    let _req_span = pecan_obs::span_with_id("serve.request", ex.id);
+    let stats = &http.conn_stats;
+    match route_request(http, req) {
+        Routed::Done { status, body, content_type, shutdown } => {
+            conn.shutdown_after_flush = shutdown;
+            conn.respond(http.answer(&ex, None, (status, content_type, &body), None), stats);
+        }
+        Routed::Predict { idx: entry, input } => {
+            let shared = Arc::clone(shared);
+            let submit = http.registry.entry(entry).submit_with(
+                input,
+                Box::new(move |result| {
+                    shared.complete(Completion {
+                        conn: idx,
+                        ex,
+                        payload: Payload::Inference { model: entry, result },
+                    });
+                }),
+            );
+            match submit {
+                Ok(()) => {
+                    stats.inflight_add();
+                    conn.set_state(ConnTag::Handling, stats);
+                }
+                Err(e) => {
+                    // Rejected synchronously (bad input, hard queue bound,
+                    // shutting down).
+                    let (status, body) = error_response(&e);
+                    let bytes = http.answer(&ex, Some(entry), (status, CT_JSON, &body), None);
+                    conn.respond(bytes, stats);
+                }
+            }
+        }
+        Routed::Blocking(job) => {
+            // The loop thread may never block, so a helper thread runs the
+            // job and delivers its answer through the completion queue
+            // like any inference answer.
+            let shared = Arc::clone(shared);
+            let spawned = std::thread::Builder::new()
+                .name("pecan-serve-blocking".into())
+                .spawn(move || {
+                    let (status, body) = job();
+                    let payload = Payload::Done(status, body);
+                    shared.complete(Completion { conn: idx, ex, payload });
+                });
+            if spawned.is_ok() {
+                conn.set_state(ConnTag::Handling, stats);
+            } else {
+                let body = "{\"error\":\"cannot spawn helper thread\"}";
+                conn.respond(http.answer(&ex, None, (500, CT_JSON, body), None), stats);
+            }
         }
     }
 }

@@ -106,9 +106,6 @@ pub struct ServerConfig {
     /// `net.core.somaxconn`), so a burst of connects waits to be accepted
     /// instead of being dropped.
     pub max_connections: usize,
-    /// Capacity of the flight recorder: how many of the newest completed
-    /// requests `/debug/requests` can replay.
-    pub flight_records: usize,
 }
 
 impl Default for ServerConfig {
@@ -118,7 +115,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             event_loop: false,
             max_connections: 1024,
-            flight_records: 256,
         }
     }
 }
@@ -127,10 +123,9 @@ impl Default for ServerConfig {
 /// `Content-Length` is refused `413` with `Connection: close`.
 pub(crate) const MAX_BODY: usize = 1 << 20;
 
-/// Most pipelined requests one connection may have unanswered before the
-/// event loop stops reading from it (bounded buffering; the threaded front
-/// end is naturally bounded at 1).
-pub(crate) const MAX_PIPELINE: usize = 32;
+/// Capacity of the flight recorder: how many of the newest completed
+/// requests `/debug/requests` can replay.
+const FLIGHT_RECORDS: usize = 256;
 
 /// Fraction of a model's scheduler queue capacity at which `/predict`
 /// starts answering `503` **before** the hard queue rejection (load-aware
@@ -325,7 +320,7 @@ impl Server {
             stopping: AtomicBool::new(false),
             shutdown_tx,
             conn_stats: ConnStats::new(),
-            recorder: FlightRecorder::new(config.flight_records),
+            recorder: FlightRecorder::new(FLIGHT_RECORDS),
             next_request_id: AtomicU64::new(0),
             next_conn_gen: AtomicU64::new(0),
         });

@@ -158,15 +158,17 @@ impl StatsSnapshot {
     }
 }
 
-/// Coarse observable state of one front-end connection, used as the gauge
-/// key in [`ConnStats`].
+/// The state of one front-end connection, used as the gauge key in
+/// [`ConnStats`]. A connection has one request in flight on either front
+/// end, so it is in exactly one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ConnTag {
-    /// No backlog: waiting for request bytes.
+    /// No request in flight: parsing the next one, or waiting for its
+    /// bytes.
     Reading,
-    /// At least one submitted inference has not answered yet.
+    /// The request's inference or blocking job has not answered yet.
     Handling,
-    /// Unflushed response bytes are waiting for the socket.
+    /// The response is not yet flushed to the socket.
     Writing,
 }
 
@@ -177,11 +179,11 @@ pub(crate) enum ConnTag {
 /// Both front ends maintain every field — lifecycle counters
 /// (`accepted`/`closed`/`requests`/`responses`/`timeouts`/`shed_*`) and
 /// the per-state gauges (`reading`/`handling`/`writing`) plus
-/// `inflight`. In the event loop a connection's tag reflects its state
-/// machine (write backlog beats pending inference); in the threaded
-/// front end each connection thread retags itself around the blocking
-/// predict and write calls, so `handling` counts connections waiting on
-/// a scheduler and `writing` counts connections mid-flush.
+/// `inflight`. In the event loop a connection's tag is its state; in the
+/// threaded front end each connection thread retags itself around the
+/// blocking predict and write calls, so on both `handling` counts
+/// connections waiting on a scheduler or blocking job and `writing`
+/// counts connections mid-flush.
 #[derive(Debug, Default)]
 pub struct ConnStats {
     accepted: AtomicU64,
@@ -304,9 +306,9 @@ pub struct ConnStatsSnapshot {
     pub requests: u64,
     /// Responses to those requests, each counted once when the front end
     /// hands its bytes on: the threaded front end after its write, the
-    /// event loop when they join the connection's pipeline (or when the
-    /// answer arrives for a connection that has already gone). At rest,
-    /// on both front ends, `responses == requests`.
+    /// event loop when they enter the connection's write buffer (or when
+    /// the answer arrives for a connection that has already gone). At
+    /// rest, on both front ends, `responses == requests`.
     pub responses: u64,
     /// Requests submitted to a scheduler and not yet answered (gauge).
     pub inflight: u64,

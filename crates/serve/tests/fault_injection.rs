@@ -173,6 +173,48 @@ fn stalled_reader_cannot_wedge_the_server() {
     }
 }
 
+/// A client that pipelines requests and never reads an answer is held
+/// back by TCP, not buffered by the server: each front end stops reading
+/// a connection while its response waits for the socket, so the writer
+/// blocks long before 32 MiB. The server's stalled-reader deadline
+/// (300 ms here) is shorter than the writer's 1 s timeout, so the blocked
+/// write usually ends in the reset the server sends when it cuts the
+/// connection off, not in the timeout; either way the server stopped
+/// taking bytes. Other clients keep full service, and the connection is
+/// reaped by the read deadline.
+#[test]
+fn a_client_that_never_reads_is_held_back() {
+    const LIMIT: usize = 32 << 20;
+    let request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+    let chunk = request.repeat((64 << 10) / request.len());
+    for server in front_ends() {
+        let mut s = connect(&server);
+        s.set_write_timeout(Some(Duration::from_secs(1))).unwrap();
+        let mut sent = 0;
+        let refused = loop {
+            if sent >= LIMIT {
+                break None;
+            }
+            match s.write_all(&chunk) {
+                Ok(()) => sent += chunk.len(),
+                Err(e) => break Some(e),
+            }
+        };
+        let Some(e) = refused else {
+            panic!("the server took {sent} bytes from a client that never reads");
+        };
+        use std::io::ErrorKind::{BrokenPipe, ConnectionReset, TimedOut, WouldBlock};
+        assert!(
+            matches!(e.kind(), WouldBlock | TimedOut | ConnectionReset | BrokenPipe),
+            "writer stopped after {sent} bytes with an unexpected error: {e}"
+        );
+        full_round_trip(&server);
+        wait_for_stats(&server, "never-reading connection reaped", |st| st.active == 0);
+        drop(s);
+        server.stop();
+    }
+}
+
 /// Garbage bytes get the typed 400 and a close — and the server keeps
 /// serving.
 #[test]

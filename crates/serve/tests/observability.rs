@@ -247,7 +247,7 @@ fn debug_requests_replays_recent_spans() {
         let engine = Arc::new(demo::mlp_engine(79));
         let server = serve(
             Arc::clone(&engine),
-            ServerConfig { event_loop, flight_records: 8, ..ServerConfig::default() },
+            ServerConfig { event_loop, ..ServerConfig::default() },
         );
         let mut client = HttpClient::connect(server.local_addr()).expect("connect");
 
@@ -260,7 +260,8 @@ fn debug_requests_replays_recent_spans() {
 
         let (status, dump) = call(&mut client, "GET", "/debug/requests", "");
         assert_eq!(status, 200);
-        assert_eq!(json::number_field(&dump, "capacity").unwrap(), 8.0);
+        // The recorder keeps the newest 256 requests (`FLIGHT_RECORDS`).
+        assert_eq!(json::number_field(&dump, "capacity").unwrap(), 256.0);
         // 3 predicts + the 404 are recorded; the /debug/requests request
         // itself completes after the dump is taken.
         assert_eq!(json::number_field(&dump, "recorded").unwrap(), 4.0);

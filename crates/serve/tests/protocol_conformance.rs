@@ -371,3 +371,33 @@ fn response_framing_is_exact() {
         server.stop();
     }
 }
+
+/// A long pipelined burst: 100 requests in one write, far more than one
+/// response at a time can answer before the next read. Every one is
+/// answered `200`, in order, with nothing left for the read deadline, and
+/// both front ends send the same byte stream.
+#[test]
+fn a_long_pipelined_burst_is_answered_in_full() {
+    const BURST: usize = 100;
+    let burst = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".repeat(BURST);
+    let mut streams = Vec::new();
+    for server in front_ends() {
+        let mut rx = ResponseReader::new(connect(&server));
+        rx.write_all(&burst);
+        let mut stream = Vec::new();
+        for i in 0..BURST {
+            let response = rx.next_response();
+            assert!(
+                response.starts_with(b"HTTP/1.1 200 OK\r\n"),
+                "response {i} of {BURST}: {:?}",
+                String::from_utf8_lossy(&response)
+            );
+            stream.extend_from_slice(&response);
+        }
+        streams.push(stream);
+        server.stop();
+    }
+    for pair in streams.windows(2) {
+        assert!(pair[0] == pair[1], "front ends answered the burst differently");
+    }
+}
